@@ -170,10 +170,15 @@ func benchTable(preset string) []benchCase {
 	scanCfg := omegago.Config{GridSize: 32, MaxWindow: 40000}
 	gemmCfg := scanCfg
 	gemmCfg.UseGEMMLD = true
+	// Threads feeds a streamed scan's LD workers, so this case times the
+	// row-parallel direct trapezoid on the out-of-core path.
+	threadedCfg := scanCfg
+	threadedCfg.Threads = 2
 	cases = append(cases,
 		scanCase("scan/direct/g32", scanCfg, 800, false),
 		scanCase("scan/gemm-ld/g32", gemmCfg, 800, false),
 		streamCase("scan/stream-bitmat/g32", scanCfg, 800, 0, false),
+		streamCase("scan/stream-bitmat/g32t2", threadedCfg, 800, 0, false),
 	)
 	if full {
 		cases = append(cases,

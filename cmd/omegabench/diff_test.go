@@ -131,8 +131,9 @@ func TestReadFileRejectsWrongSchema(t *testing.T) {
 
 // TestBenchTablePresets pins the preset composition: the CI preset must
 // contain both LD kernels at the historical 512×512×1000 size (the
-// flat-vs-tri comparison the acceptance record is built on) and both
-// scan engines; full must be a superset.
+// flat-vs-tri comparison the acceptance record is built on), both scan
+// engines, and the streamed scan at one and two LD threads; full must
+// be a superset.
 func TestBenchTablePresets(t *testing.T) {
 	short := benchTable("short")
 	names := make(map[string]bool)
@@ -143,6 +144,7 @@ func TestBenchTablePresets(t *testing.T) {
 		"ld/flat/512x512x1000", "ld/tri/512x512x1000",
 		"ld/flat/256x256x1024", "ld/tri/256x256x1024",
 		"scan/direct/g32", "scan/gemm-ld/g32",
+		"scan/stream-bitmat/g32", "scan/stream-bitmat/g32t2",
 		"omega/scalar/g24", "omega/blocked/g24", "omega/auto/g24",
 	} {
 		if !names[want] {

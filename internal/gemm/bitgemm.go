@@ -1,3 +1,14 @@
+// Package gemm implements BLIS-style blocked bit-matrix multiplication
+// (Van Zee & Van de Geijn, TOMS 2015): cache blocking, panel packing and
+// a register micro-kernel, parallelized across goroutines.
+//
+// It is the dense-linear-algebra substrate onto which LD computation is
+// cast (Alachiotis, Popovici & Low, IPDPSW 2016; Binder et al., IPDPSW
+// 2019): allele co-occurrence counts between all SNP pairs are exactly a
+// general matrix multiplication of the binary alignment with its own
+// transpose, with AND as the product and popcount as the sum. Two
+// kernels are provided: the flat rectangular PopcountGemm, and the
+// blocked triangular PopcountTrapezoid that the LD layer uses directly.
 package gemm
 
 import (

@@ -2,7 +2,6 @@ package gemm
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,116 +9,6 @@ import (
 
 	"omegago/internal/bitvec"
 )
-
-func randomDense(rng *rand.Rand, r, c int) *Dense {
-	m := NewDense(r, c)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64()
-	}
-	return m
-}
-
-func densesClose(t *testing.T, got, want *Dense, tol float64) {
-	t.Helper()
-	if got.Rows != want.Rows || got.Cols != want.Cols {
-		t.Fatalf("shape %dx%d, want %dx%d", got.Rows, got.Cols, want.Rows, want.Cols)
-	}
-	for i := range got.Data {
-		if math.Abs(got.Data[i]-want.Data[i]) > tol {
-			t.Fatalf("element %d: got %g, want %g", i, got.Data[i], want.Data[i])
-		}
-	}
-}
-
-func TestMulSmallExact(t *testing.T) {
-	a := NewDense(2, 3)
-	copy(a.Data, []float64{1, 2, 3, 4, 5, 6})
-	b := NewDense(3, 2)
-	copy(b.Data, []float64{7, 8, 9, 10, 11, 12})
-	c := Mul(a, b)
-	want := []float64{58, 64, 139, 154}
-	for i, w := range want {
-		if c.Data[i] != w {
-			t.Errorf("c[%d] = %g, want %g", i, c.Data[i], w)
-		}
-	}
-}
-
-func TestMulMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	shapes := []struct{ m, k, n int }{
-		{1, 1, 1}, {3, 5, 7}, {4, 4, 4}, {5, 3, 2},
-		{MR, KC, NR}, {MR + 1, KC + 3, NR + 2},
-		{MC + 7, KC + 5, NC/4 + 3}, {130, 300, 90},
-	}
-	for _, s := range shapes {
-		a := randomDense(rng, s.m, s.k)
-		b := randomDense(rng, s.k, s.n)
-		densesClose(t, Mul(a, b), MulNaive(a, b), 1e-9*float64(s.k))
-	}
-}
-
-func TestMulParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := randomDense(rng, 301, 157)
-	b := randomDense(rng, 157, 203)
-	want := Mul(a, b)
-	for _, workers := range []int{2, 3, 8, 1000} {
-		densesClose(t, MulParallel(a, b, workers), want, 1e-9*157)
-	}
-}
-
-func TestMulParallelProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		m, k, n := r.Intn(40)+1, r.Intn(40)+1, r.Intn(40)+1
-		w := r.Intn(4) + 1
-		a := randomDense(rng, m, k)
-		b := randomDense(rng, k, n)
-		got := MulParallel(a, b, w)
-		want := MulNaive(a, b)
-		for i := range got.Data {
-			if math.Abs(got.Data[i]-want.Data[i]) > 1e-9*float64(k) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMulDimensionMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Mul(NewDense(2, 3), NewDense(4, 2))
-}
-
-func TestMulEmpty(t *testing.T) {
-	c := Mul(NewDense(0, 5), NewDense(5, 3))
-	if c.Rows != 0 || c.Cols != 3 {
-		t.Errorf("empty product shape %dx%d", c.Rows, c.Cols)
-	}
-	c2 := Mul(NewDense(2, 0), NewDense(0, 3))
-	for _, v := range c2.Data {
-		if v != 0 {
-			t.Error("k=0 product must be zero")
-		}
-	}
-}
-
-func TestDenseAtSet(t *testing.T) {
-	m := NewDense(3, 4)
-	m.Set(1, 2, 42)
-	if m.At(1, 2) != 42 || m.Data[1*4+2] != 42 {
-		t.Error("At/Set broken")
-	}
-}
 
 func randomBitMatrix(rng *rand.Rand, r, c int) *BitMatrix {
 	m := NewBitMatrix(r, c)
@@ -231,28 +120,6 @@ func TestBitMatrixMismatchPanics(t *testing.T) {
 	PopcountGemm(NewBitMatrix(2, 10), NewBitMatrix(2, 11), 1)
 }
 
-func BenchmarkMulBlocked256(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := randomDense(rng, 256, 256)
-	y := randomDense(rng, 256, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Mul(x, y)
-	}
-}
-
-func BenchmarkMulNaive256(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := randomDense(rng, 256, 256)
-	y := randomDense(rng, 256, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulNaive(x, y)
-	}
-}
-
 func BenchmarkPopcountGemm512x512x1000(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := randomBitMatrix(rng, 512, 1000)
@@ -261,72 +128,6 @@ func BenchmarkPopcountGemm512x512x1000(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		PopcountGemm(x, x, 1)
 	}
-}
-
-func TestPackPanelA(t *testing.T) {
-	// 5×3 block packed with MR=4: two row-panels, the second zero-padded.
-	a := NewDense(6, 4)
-	v := 1.0
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 4; j++ {
-			a.Set(i, j, v)
-			v++
-		}
-	}
-	dst := make([]float64, 2*MR*3)
-	packPanelA(a, 1, 1, 5, 3, dst)
-	// Panel 0, k=0 holds column 1 of rows 1..4: a(1,1)=6, a(2,1)=10, a(3,1)=14, a(4,1)=18.
-	want0 := []float64{6, 10, 14, 18}
-	for r, w := range want0 {
-		if dst[r] != w {
-			t.Fatalf("panel0 k0 row %d = %g, want %g", r, dst[r], w)
-		}
-	}
-	// Panel 1 (row 5 only), k=0: a(5,1)=22 then three zeros of padding.
-	p1 := dst[MR*3:]
-	if p1[0] != 22 || p1[1] != 0 || p1[2] != 0 || p1[3] != 0 {
-		t.Fatalf("panel1 k0 = %v, want [22 0 0 0]", p1[:4])
-	}
-}
-
-func TestPackPanelB(t *testing.T) {
-	b := NewDense(4, 6)
-	v := 1.0
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 6; j++ {
-			b.Set(i, j, v)
-			v++
-		}
-	}
-	// kc=2 rows from p0=1, nc=5 cols from j0=1 → two col-panels (NR=4, then 1+pad).
-	dst := make([]float64, 2*NR*2)
-	packPanelB(b, 1, 1, 2, 5, dst)
-	// Panel 0, kk=0: b(1,1..4) = 8,9,10,11.
-	want := []float64{8, 9, 10, 11}
-	for s, w := range want {
-		if dst[s] != w {
-			t.Fatalf("panelB k0 col %d = %g, want %g", s, dst[s], w)
-		}
-	}
-	// Panel 1, kk=0: b(1,5)=12 then padding.
-	p1 := dst[NR*2:]
-	if p1[0] != 12 || p1[1] != 0 {
-		t.Fatalf("panelB fringe = %v", p1[:2])
-	}
-}
-
-func TestMulStrideIndependence(t *testing.T) {
-	// A matrix viewed with a larger stride must multiply identically.
-	rng := rand.New(rand.NewSource(8))
-	base := randomDense(rng, 8, 6)
-	padded := &Dense{Rows: 8, Cols: 6, Stride: 10, Data: make([]float64, 8*10)}
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 6; j++ {
-			padded.Data[i*10+j] = base.At(i, j)
-		}
-	}
-	b := randomDense(rng, 6, 7)
-	densesClose(t, Mul(padded, b), Mul(base, b), 1e-12)
 }
 
 // TestBitKernelDimensionMismatchTable drives every bit kernel through a

@@ -9,9 +9,9 @@ import (
 //
 // The ω statistic only ever consumes r² for SNP pairs (i, j) with j < i
 // inside a window, yet the flat PopcountGemm computes the full rectangle
-// of the pair-count matrix. This kernel mirrors the BLIS structure of
-// the dense path (packPanelA/macroKernel in dense.go) for the bit-packed
-// case and computes only a trapezoidal region of the self-product:
+// of the pair-count matrix. This kernel follows the BLIS structure of a
+// packed, cache-blocked GEMM for the bit-packed case and computes only a
+// trapezoidal region of the self-product:
 //
 //   - SNP bit-rows are packed into word-interleaved panels (BitMR rows
 //     for A, BitNR for B), zero-padded at the row fringe so the

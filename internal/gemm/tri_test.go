@@ -185,3 +185,41 @@ func BenchmarkPopcountTri512x512x1000(b *testing.B) {
 	}
 	b.ReportMetric(float64(benchTriPairs())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpairs/s")
 }
+
+// checkPacked verifies packBitPanels' layout: word k of row p·pr+r sits
+// at dst[p·pr·Words + k·pr + r], and fringe rows of the last panel are
+// zero.
+func checkPacked(t *testing.T, m *BitMatrix, pr int, dst []uint64) {
+	t.Helper()
+	panels := (m.Rows + pr - 1) / pr
+	if len(dst) != panels*pr*m.Words {
+		t.Fatalf("packed %d words, want %d", len(dst), panels*pr*m.Words)
+	}
+	for p := 0; p < panels; p++ {
+		for k := 0; k < m.Words; k++ {
+			for r := 0; r < pr; r++ {
+				var want uint64
+				if row := p*pr + r; row < m.Rows {
+					want = m.RowWords(row)[k]
+				}
+				if got := dst[p*pr*m.Words+k*pr+r]; got != want {
+					t.Fatalf("panel %d word %d row %d = %#x, want %#x", p, k, r, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPackPanelA packs A operands (BitMR-row panels) of the triangular
+// kernel: 6 rows over 3 words make two panels, the second half padding.
+func TestPackPanelA(t *testing.T) {
+	m := randomBitMatrix(rand.New(rand.NewSource(44)), 6, 3*64-5)
+	checkPacked(t, m, BitMR, packBitPanels(m, BitMR))
+}
+
+// TestPackPanelB packs B operands (BitNR-row panels): 5 rows make three
+// panels, the last with one padded row.
+func TestPackPanelB(t *testing.T) {
+	m := randomBitMatrix(rand.New(rand.NewSource(45)), 5, 130)
+	checkPacked(t, m, BitNR, packBitPanels(m, BitNR))
+}

@@ -105,13 +105,13 @@ func (m *DPMatrix) Advance(lo, hi int) {
 }
 
 // extendTo appends rows (m.hi, hi] using the recurrence. Fresh r² values
-// are fetched through the LD computer's PairCounts trapezoid path: with
-// the GEMM engine the counts for exactly the needed pairs — rows
-// i ∈ [first, hi], columns j ∈ [lo, i) — come from one cache-blocked
-// triangular bit-matrix multiplication that never touches the lower
-// triangle or out-of-window cells; the direct engine walks the same
-// trapezoid pair by pair (across the computer's workers when it has
-// them).
+// are written straight into a staging buffer by the LD computer's
+// PairCounts trapezoid path, for exactly the needed pairs — rows
+// i ∈ [first, hi], columns j ∈ [lo, i). With the GEMM engine their
+// counts come from one cache-blocked triangular bit-matrix
+// multiplication that never touches the lower triangle or out-of-window
+// cells; the direct engine walks the same rows (split across the
+// computer's workers when it has them).
 func (m *DPMatrix) extendTo(hi int) {
 	if hi <= m.hi {
 		return
@@ -123,10 +123,7 @@ func (m *DPMatrix) extendTo(hi int) {
 	// Advance calls (PairCounts writes every cell the recurrence reads,
 	// so stale values from earlier regions are never observed).
 	fresh := m.scratch.freshBuf(nNew * width)
-	store := func(i, j int, r2 float64) {
-		fresh[(i-first)*width+(j-m.lo)] = r2
-	}
-	m.comp.PairCounts(first, hi+1, m.lo, store)
+	m.comp.PairCounts(first, hi+1, m.lo, fresh, width)
 	for i := first; i <= hi; i++ {
 		row := m.scratch.allocRow(i - m.lo + 1)
 		ri := i - m.lo

@@ -133,6 +133,64 @@ func TestScanStreamMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestScanStreamLDWorkersMatchSerial covers the threaded stream path:
+// with ldWorkers > 1 the LD trapezoid of every chunk-local DP band is
+// split across workers by rows, which must change neither a result bit
+// nor a work counter. Regions span ~180 SNPs, so fresh bands are large
+// enough to take the parallel row walk.
+func TestScanStreamLDWorkersMatchSerial(t *testing.T) {
+	a := streamAlignment(t, 600, 32, 74, 200000)
+	p := Params{GridSize: 24, MaxWindow: 30000}
+	regions, err := BuildRegions(a, p.WithDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	widest := maxRegionSpan(regions)
+	for _, engine := range []ld.Engine{ld.Direct, ld.GEMM} {
+		serial, stS, err := Scan(a, p, engine, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, chunkSNPs := range []int{0, widest, widest + 13} {
+			var base Stats
+			for _, workers := range []int{1, 2, 4} {
+				src, err := seqio.NewAlignmentSource(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				results, st, _, err := ScanStream(context.Background(), src, p, engine, workers, chunkSNPs, nil)
+				if err != nil {
+					t.Fatalf("engine=%v chunk=%d workers=%d: %v", engine, chunkSNPs, workers, err)
+				}
+				if len(results) != len(serial) {
+					t.Fatalf("engine=%v chunk=%d workers=%d: %d results, want %d",
+						engine, chunkSNPs, workers, len(results), len(serial))
+				}
+				for i := range results {
+					if results[i] != serial[i] {
+						t.Fatalf("engine=%v chunk=%d workers=%d: result[%d] = %+v, want %+v",
+							engine, chunkSNPs, workers, i, results[i], serial[i])
+					}
+				}
+				if extra := st.R2Computed - stS.R2Computed; extra != st.R2Duplicated {
+					t.Errorf("engine=%v chunk=%d workers=%d: extra r² %d != duplicated %d",
+						engine, chunkSNPs, workers, extra, st.R2Duplicated)
+				}
+				if workers == 1 {
+					base = st
+					continue
+				}
+				if st.R2Computed != base.R2Computed || st.R2Reused != base.R2Reused ||
+					st.R2Duplicated != base.R2Duplicated || st.OmegaScores != base.OmegaScores {
+					t.Errorf("engine=%v chunk=%d workers=%d: counters (computed %d, reused %d, duplicated %d, ω %d), want (%d, %d, %d, %d)",
+						engine, chunkSNPs, workers, st.R2Computed, st.R2Reused, st.R2Duplicated, st.OmegaScores,
+						base.R2Computed, base.R2Reused, base.R2Duplicated, base.OmegaScores)
+				}
+			}
+		}
+	}
+}
+
 // TestScanStreamSources: every ChunkSource implementation feeding the
 // same data must yield identical results — the resident wrapper, the
 // deferred-packing ms source, and the mmap-able bitmat file.
