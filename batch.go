@@ -42,10 +42,11 @@ type BatchReport struct {
 	Skipped int
 	Failed  int
 	// Aggregated work counters summed over the scanned replicates.
-	OmegaScores  int64
-	R2Computed   int64
-	R2Reused     int64
-	R2Duplicated int64
+	OmegaScores    int64
+	OmegaEvaluated int64
+	R2Computed     int64
+	R2Reused       int64
+	R2Duplicated   int64
 	// LDSeconds / OmegaSeconds are summed across replicates (and across
 	// workers within each replicate); WallSeconds is the measured
 	// wall-clock of the whole batch, so LDSeconds+OmegaSeconds can
@@ -219,6 +220,7 @@ feed:
 			rep.Scanned++
 			r := item.Report
 			rep.OmegaScores += r.OmegaScores
+			rep.OmegaEvaluated += r.OmegaEvaluated
 			rep.R2Computed += r.R2Computed
 			rep.R2Reused += r.R2Reused
 			rep.R2Duplicated += r.R2Duplicated

@@ -66,6 +66,7 @@ func (cpuBackend) Scan(ctx context.Context, a *seqio.Alignment, p omega.Params, 
 			Stats: Stats{
 				Grid:                 st.Grid,
 				OmegaScores:          st.OmegaScores,
+				OmegaEvaluated:       st.OmegaEvaluated,
 				R2Computed:           st.R2Computed,
 				R2Reused:             st.R2Reused,
 				R2Duplicated:         st.R2Duplicated,
@@ -100,6 +101,7 @@ func (cpuBackend) Scan(ctx context.Context, a *seqio.Alignment, p omega.Params, 
 		Stats: Stats{
 			Grid:               st.Grid,
 			OmegaScores:        st.OmegaScores,
+			OmegaEvaluated:     st.OmegaEvaluated,
 			R2Computed:         st.R2Computed,
 			R2Reused:           st.R2Reused,
 			R2Duplicated:       st.R2Duplicated,

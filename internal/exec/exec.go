@@ -110,9 +110,14 @@ type Options struct {
 type Stats struct {
 	// Functional counters (every backend).
 	Grid        int   // grid positions evaluated
-	OmegaScores int64 // ω values computed (Table III numerators)
-	R2Computed  int64 // fresh r² values (Equation 1 evaluations)
-	R2Reused    int64 // DP cells preserved by relocation (Equation 3 reuse)
+	OmegaScores int64 // admissible ω border combinations (Table III numerators)
+	// OmegaEvaluated counts the ω values actually computed: equal to
+	// OmegaScores on the simulators, which score every cell as the
+	// paper's hardware does, and lower on the CPU, whose blocked kernel
+	// skips cells that cannot beat the running max.
+	OmegaEvaluated int64
+	R2Computed     int64 // fresh r² values (Equation 1 evaluations)
+	R2Reused       int64 // DP cells preserved by relocation (Equation 3 reuse)
 	// R2Duplicated counts r² recomputed at shard boundaries by the CPU
 	// sharded scheduler (a subset of R2Computed); zero otherwise.
 	R2Duplicated int64
@@ -183,6 +188,7 @@ func (s Stats) StreamOverlapRatio() float64 {
 func (s *Stats) Add(other Stats) {
 	s.Grid += other.Grid
 	s.OmegaScores += other.OmegaScores
+	s.OmegaEvaluated += other.OmegaEvaluated
 	s.R2Computed += other.R2Computed
 	s.R2Reused += other.R2Reused
 	s.R2Duplicated += other.R2Duplicated
@@ -227,6 +233,7 @@ func (s Stats) Publish(met *obs.Metrics) {
 		return
 	}
 	met.R2Reused.Add(s.R2Reused)
+	met.OmegaEvaluated.Add(s.OmegaEvaluated)
 	met.LDSeconds.Add(s.LDSeconds)
 	met.OmegaSeconds.Add(s.OmegaSeconds)
 	met.ScanSeconds.Observe(s.WallSeconds)

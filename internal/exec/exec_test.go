@@ -72,6 +72,12 @@ func TestBackendEquivalence(t *testing.T) {
 		if out.Stats.OmegaScores == 0 || out.Stats.R2Computed == 0 {
 			t.Errorf("%s: empty unified stats %+v", b.Name(), out.Stats)
 		}
+		// The simulators score every admissible cell, as the paper's
+		// hardware does; only the CPU kernels may skip cells.
+		if ev := out.Stats.OmegaEvaluated; ev <= 0 || ev > out.Stats.OmegaScores ||
+			(b.Name() != "cpu" && ev != out.Stats.OmegaScores) {
+			t.Errorf("%s: evaluated %d of %d admissible scores", b.Name(), ev, out.Stats.OmegaScores)
+		}
 	}
 }
 
@@ -125,14 +131,14 @@ func TestStatsAdd(t *testing.T) {
 		LDSeconds: 1, OmegaSeconds: 2, SnapshotSeconds: 3, WallSeconds: 4,
 		KernelILaunches: 6, KernelIILaunches: 7, OrderSwitches: 8, BytesTransferred: 9,
 		HardwareOmegas: 10, SoftwareOmegas: 11, Cycles: 12,
-		OmegaKernelScalar: 13, OmegaKernelBlocked: 14}
+		OmegaKernelScalar: 13, OmegaKernelBlocked: 14, OmegaEvaluated: 15}
 	sum := a
 	sum.Add(a)
 	want := Stats{Grid: 2, OmegaScores: 4, R2Computed: 6, R2Reused: 8, R2Duplicated: 10,
 		LDSeconds: 2, OmegaSeconds: 4, SnapshotSeconds: 6, WallSeconds: 8,
 		KernelILaunches: 12, KernelIILaunches: 14, OrderSwitches: 16, BytesTransferred: 18,
 		HardwareOmegas: 20, SoftwareOmegas: 22, Cycles: 24,
-		OmegaKernelScalar: 26, OmegaKernelBlocked: 28}
+		OmegaKernelScalar: 26, OmegaKernelBlocked: 28, OmegaEvaluated: 30}
 	if sum != want {
 		t.Fatalf("Add: got %+v, want %+v", sum, want)
 	}
@@ -158,12 +164,20 @@ func TestCPUKernelOptionDispatch(t *testing.T) {
 	if ref.Stats.OmegaKernelScalar == 0 || ref.Stats.OmegaKernelBlocked != 0 {
 		t.Fatalf("forced scalar dispatch: %+v", ref.Stats)
 	}
+	if ref.Stats.OmegaEvaluated != ref.Stats.OmegaScores {
+		t.Fatalf("scalar kernel evaluated %d of %d scores; it must not prune",
+			ref.Stats.OmegaEvaluated, ref.Stats.OmegaScores)
+	}
 	blk, err := cpu.Scan(context.Background(), a, p, Options{OmegaKernel: omega.KernelBlocked})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if blk.Stats.OmegaKernelBlocked == 0 || blk.Stats.OmegaKernelScalar != 0 {
 		t.Fatalf("forced blocked dispatch: %+v", blk.Stats)
+	}
+	if blk.Stats.OmegaScores != ref.Stats.OmegaScores || blk.Stats.OmegaEvaluated >= blk.Stats.OmegaScores {
+		t.Fatalf("blocked kernel scores %d (want %d), evaluated %d (want fewer)",
+			blk.Stats.OmegaScores, ref.Stats.OmegaScores, blk.Stats.OmegaEvaluated)
 	}
 	for i := range ref.Results {
 		if blk.Results[i] != ref.Results[i] {
@@ -185,5 +199,8 @@ func TestCPUKernelOptionDispatch(t *testing.T) {
 		t.Fatalf("published dispatch counters scalar=%d blocked=%d, want 0/%d",
 			met.KernelDispatchScalar.Value(), met.KernelDispatchBlocked.Value(),
 			blk.Stats.OmegaKernelBlocked)
+	}
+	if got := met.OmegaEvaluated.Value(); got != blk.Stats.OmegaEvaluated {
+		t.Fatalf("published omegago_omega_evaluated_total = %d, want %d", got, blk.Stats.OmegaEvaluated)
 	}
 }

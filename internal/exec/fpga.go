@@ -41,6 +41,7 @@ func (fpgaBackend) Scan(ctx context.Context, a *seqio.Alignment, p omega.Params,
 		Stats: Stats{
 			Grid:           len(rep.Results),
 			OmegaScores:    rep.OmegaScores,
+			OmegaEvaluated: rep.OmegaScores,
 			R2Computed:     rep.R2Computed,
 			R2Reused:       rep.R2Reused,
 			LDSeconds:      rep.LDSeconds,

@@ -21,7 +21,6 @@ type Metrics struct {
 	GridPositions *Counter // omegago_grid_positions_total
 	OmegaScores   *Counter // omegago_omega_scores_total
 	R2Computed    *Counter // omegago_r2_computed_total
-	OmegaPerSec   *Gauge   // omegago_omega_per_second
 	ScansInFlight *Gauge   // omegago_scans_in_flight
 
 	// Per-scan lifecycle, fed by Meter.Done.
@@ -30,6 +29,7 @@ type Metrics struct {
 
 	// Per-scan totals, fed by exec.Stats.Publish after completion.
 	R2Reused         *Counter   // omegago_r2_reused_total
+	OmegaEvaluated   *Counter   // omegago_omega_evaluated_total
 	LDSeconds        *Gauge     // omegago_ld_seconds_total
 	OmegaSeconds     *Gauge     // omegago_omega_seconds_total
 	ScanSeconds      *Histogram // omegago_scan_seconds (wall per scan)
@@ -71,14 +71,15 @@ func NewMetrics(reg *Registry) *Metrics {
 		GridPositions: reg.Counter("omegago_grid_positions_total", "Grid positions scanned."),
 		OmegaScores:   reg.Counter("omegago_omega_scores_total", "Omega statistics computed (Equation 2)."),
 		R2Computed:    reg.Counter("omegago_r2_computed_total", "Fresh r2 values computed (Equation 1)."),
-		OmegaPerSec:   reg.Gauge("omegago_omega_per_second", "Running omega throughput of the current scan."),
 		ScansInFlight: reg.Gauge("omegago_scans_in_flight", "Scans currently executing."),
 		Scans:         reg.Counter("omegago_scans_total", "Scans completed (including failures)."),
 		ScanFailures:  reg.Counter("omegago_scan_failures_total", "Scans that returned an error (cancellation included)."),
 		R2Reused:      reg.Counter("omegago_r2_reused_total", "DP cells reused by relocation (Equation 3)."),
-		LDSeconds:     reg.Gauge("omegago_ld_seconds_total", "Cumulative LD-phase seconds (measured on cpu, modeled on accelerators)."),
-		OmegaSeconds:  reg.Gauge("omegago_omega_seconds_total", "Cumulative omega-phase seconds (measured on cpu, modeled on accelerators)."),
-		ScanSeconds:   reg.Histogram("omegago_scan_seconds", "Wall-clock seconds per completed scan.", nil),
+		OmegaEvaluated: reg.Counter("omegago_omega_evaluated_total",
+			"Omega statistics actually evaluated (at most omegago_omega_scores_total; the CPU kernel skips cells that cannot win)."),
+		LDSeconds:    reg.Gauge("omegago_ld_seconds_total", "Cumulative LD-phase seconds (measured on cpu, modeled on accelerators)."),
+		OmegaSeconds: reg.Gauge("omegago_omega_seconds_total", "Cumulative omega-phase seconds (measured on cpu, modeled on accelerators)."),
+		ScanSeconds:  reg.Histogram("omegago_scan_seconds", "Wall-clock seconds per completed scan.", nil),
 		KernelLaunches: reg.Counter("omegago_gpu_kernel_launches_total",
 			"GPU omega kernel launches (Kernel I + Kernel II)."),
 		BytesTransferred: reg.Counter("omegago_gpu_bytes_transferred_total", "Modeled host-device bytes moved."),
@@ -250,17 +251,10 @@ func (m *Meter) Snapshot() Progress {
 	return p
 }
 
-// emit publishes the current snapshot to the observer and refreshes
-// the throughput gauge.
+// emit publishes the current snapshot to the observer.
 func (m *Meter) emit() {
-	c := m.c
-	if c.met != nil {
-		if s := time.Since(c.start).Seconds(); s > 0 {
-			c.met.OmegaPerSec.Set(float64(c.scores.Load()) / s)
-		}
-	}
-	if c.obs != nil {
-		c.obs.OnProgress(m.Snapshot())
+	if m.c.obs != nil {
+		m.c.obs.OnProgress(m.Snapshot())
 	}
 }
 

@@ -163,6 +163,7 @@ func (scalarKernel) Evaluate(s *Scratch, m MatrixView, reg Region, p Params) Res
 			}
 		}
 	}
+	s.Evaluated += res.Scores
 	if res.Scores == 0 {
 		return Result{GridIndex: reg.Index, Center: reg.Center}
 	}
@@ -189,7 +190,52 @@ type rowsProvider interface {
 // inner max-reduction is unrolled over 4 right borders. Iteration order
 // and comparisons match the scalar kernel exactly, so the max (and its
 // tie-breaking) is bit-identical.
+//
+// On raw rows the kernel also skips work that cannot win: each left
+// border's right borders are taken in strips of pruneStrip, and a strip
+// is not scored when stripPrunable shows its upper bound is strictly
+// below the running best. A skipped cell scores strictly below a best
+// that only grows, so under the strict `>` it could never have been
+// chosen. Result.Scores still counts every admissible cell;
+// Scratch.Evaluated counts the scored ones.
 type blockedKernel struct{}
+
+// pruneStrip is the number of consecutive right borders one
+// stripPrunable test covers (two unrolled groups of 4).
+const pruneStrip = 8
+
+// pruneSlack and pruneMargin absorb floating-point rounding in
+// stripPrunable. The DP sums of M are exact only up to rounding, so the
+// computed cross sum X = TS − LS − RS need not be monotone in r;
+// pruneSlack·TS[j] bounds that absolute error for every cell of a strip
+// (the worst case grows like 2·width²·2⁻⁵³ relative to TS, under 1e-6
+// for windows below ~6·10⁴ SNPs; the observed error is orders of
+// magnitude smaller). pruneMargin covers the relative error of the
+// numerator sums and of the test's own products.
+const (
+	pruneSlack  = 1e-6
+	pruneMargin = 1 + 1e-6
+)
+
+// stripPrunable reports whether no right border i..j (ascending) at one
+// left border can score above best. r² ∈ [0,1], so RS and the cross sum
+// X never decrease as r moves outward: over the strip, Equation 2 is at
+// most ((LS+RS[j])/(KL+KR[i])) / (X(i)/(ln·rn) + ε), with the X lower
+// bound divided by the widest rn when it is positive and by the
+// narrowest when it is not. The test is that bound compared with best,
+// multiplied through by the (positive) denominators so it costs no
+// division. A strip holding the ln = rn = 1 cell (0/0) has KL+KR[i] = 0
+// and no finite bound: the right side is then 0 or NaN and the test
+// fails, as it does while best is still −Inf.
+func stripPrunable(best, ls, kl, ln, tsI, tsJ, rsI, rsJ, krI, rnI, rnJ, eps float64) bool {
+	x := tsI - ls - rsI - pruneSlack*tsJ
+	q := ln * rnJ
+	if x < 0 {
+		q = ln * rnI
+	}
+	d := x + eps*q // (X/(ln·rn) + ε)·ln·rn
+	return d > 0 && (ls+rsJ)*q*pruneMargin < best*(kl+krI)*d
+}
 
 func (blockedKernel) Name() string { return "blocked" }
 
@@ -237,7 +283,7 @@ func (blockedKernel) Evaluate(s *Scratch, m MatrixView, reg Region, p Params) Re
 
 	best := math.Inf(-1)
 	bestL, bestR := 0, 0
-	var scores int64
+	var scores, evaluated int64
 	rStart := rMin
 	if p.MinWindow > 0 {
 		rStart = rMax + 1
@@ -269,45 +315,58 @@ func (blockedKernel) Evaluate(s *Scratch, m MatrixView, reg Region, p Params) Re
 			continue // every window at this l is below MinWindow
 		}
 		scores += int64(inner - iStart)
-		i := iStart
-		if raw {
-			cl := l - lo
-			// Unrolled over 4 right borders; the compares stay sequential
-			// in ascending r, preserving the scalar tie-breaking.
-			for ; i+4 <= inner; i += 4 {
-				w0 := Score(ls, rs[i], tsRows[i][cl], kl, kr[i], fln, rnf[i], eps)
-				w1 := Score(ls, rs[i+1], tsRows[i+1][cl], kl, kr[i+1], fln, rnf[i+1], eps)
-				w2 := Score(ls, rs[i+2], tsRows[i+2][cl], kl, kr[i+2], fln, rnf[i+2], eps)
-				w3 := Score(ls, rs[i+3], tsRows[i+3][cl], kl, kr[i+3], fln, rnf[i+3], eps)
-				if w0 > best {
-					best, bestL, bestR = w0, l, rMin+i
-				}
-				if w1 > best {
-					best, bestL, bestR = w1, l, rMin+i+1
-				}
-				if w2 > best {
-					best, bestL, bestR = w2, l, rMin+i+2
-				}
-				if w3 > best {
-					best, bestL, bestR = w3, l, rMin+i+3
-				}
-			}
-			for ; i < inner; i++ {
-				w := Score(ls, rs[i], tsRows[i][cl], kl, kr[i], fln, rnf[i], eps)
-				if w > best {
-					best, bestL, bestR = w, l, rMin+i
-				}
-			}
-		} else {
-			for ; i < inner; i++ {
+		if !raw {
+			for i := iStart; i < inner; i++ {
 				r := rMin + i
 				w := Score(ls, rs[i], m.At(r, l), kl, kr[i], fln, rnf[i], eps)
 				if w > best {
 					best, bestL, bestR = w, l, r
 				}
 			}
+			evaluated += int64(inner - iStart)
+			continue
+		}
+		cl := l - lo
+		for i := iStart; i < inner; i += pruneStrip {
+			end := i + pruneStrip
+			if end > inner {
+				end = inner
+			}
+			j := end - 1
+			if stripPrunable(best, ls, kl, fln, tsRows[i][cl], tsRows[j][cl], rs[i], rs[j], kr[i], rnf[i], rnf[j], eps) {
+				continue // no cell of the strip can beat best: skip it
+			}
+			evaluated += int64(end - i)
+			k := i
+			// Unrolled over 4 right borders; the compares stay sequential
+			// in ascending r, preserving the scalar tie-breaking.
+			for ; k+4 <= end; k += 4 {
+				w0 := Score(ls, rs[k], tsRows[k][cl], kl, kr[k], fln, rnf[k], eps)
+				w1 := Score(ls, rs[k+1], tsRows[k+1][cl], kl, kr[k+1], fln, rnf[k+1], eps)
+				w2 := Score(ls, rs[k+2], tsRows[k+2][cl], kl, kr[k+2], fln, rnf[k+2], eps)
+				w3 := Score(ls, rs[k+3], tsRows[k+3][cl], kl, kr[k+3], fln, rnf[k+3], eps)
+				if w0 > best {
+					best, bestL, bestR = w0, l, rMin+k
+				}
+				if w1 > best {
+					best, bestL, bestR = w1, l, rMin+k+1
+				}
+				if w2 > best {
+					best, bestL, bestR = w2, l, rMin+k+2
+				}
+				if w3 > best {
+					best, bestL, bestR = w3, l, rMin+k+3
+				}
+			}
+			for ; k < end; k++ {
+				w := Score(ls, rs[k], tsRows[k][cl], kl, kr[k], fln, rnf[k], eps)
+				if w > best {
+					best, bestL, bestR = w, l, rMin+k
+				}
+			}
 		}
 	}
+	s.Evaluated += evaluated
 	if scores == 0 {
 		return Result{GridIndex: reg.Index, Center: reg.Center}
 	}

@@ -543,12 +543,13 @@ func TestScanParallelBadThreads(t *testing.T) {
 
 func TestStatsAdd(t *testing.T) {
 	a := Stats{Grid: 1, OmegaScores: 2, R2Computed: 3, R2Reused: 4, R2Duplicated: 5,
-		LDTime: 6, OmegaTime: 7, SnapshotTime: 8}
+		LDTime: 6, OmegaTime: 7, SnapshotTime: 8, OmegaEvaluated: 9}
 	b := Stats{Grid: 10, OmegaScores: 20, R2Computed: 30, R2Reused: 40, R2Duplicated: 50,
-		LDTime: 60, OmegaTime: 70, SnapshotTime: 80}
+		LDTime: 60, OmegaTime: 70, SnapshotTime: 80, OmegaEvaluated: 90}
 	a.Add(b)
 	if a.Grid != 11 || a.OmegaScores != 22 || a.R2Computed != 33 || a.R2Reused != 44 ||
-		a.R2Duplicated != 55 || a.LDTime != 66 || a.OmegaTime != 77 || a.SnapshotTime != 88 {
+		a.R2Duplicated != 55 || a.LDTime != 66 || a.OmegaTime != 77 || a.SnapshotTime != 88 ||
+		a.OmegaEvaluated != 99 {
 		t.Errorf("Add wrong: %+v", a)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // throughput numerators of Table III.
 type Stats struct {
 	Grid        int   // grid positions evaluated
-	OmegaScores int64 // ω values computed
+	OmegaScores int64 // admissible ω border combinations
 	R2Computed  int64 // fresh r² values (M cells filled)
 	R2Reused    int64 // M cells preserved by relocation
 	// R2Duplicated counts the subset of R2Computed that a serial scan
@@ -41,6 +41,11 @@ type Stats struct {
 	// split shows which side of the Nthr threshold the workload fell on.
 	KernelScalar  int64
 	KernelBlocked int64
+	// OmegaEvaluated counts the ω values actually computed. OmegaScores
+	// counts every admissible border combination (the Table III
+	// numerator); the blocked kernel skips combinations that provably
+	// cannot beat the running max, so OmegaEvaluated ≤ OmegaScores.
+	OmegaEvaluated int64
 }
 
 // Add accumulates other into s.
@@ -55,6 +60,7 @@ func (s *Stats) Add(other Stats) {
 	s.SnapshotTime += other.SnapshotTime
 	s.KernelScalar += other.KernelScalar
 	s.KernelBlocked += other.KernelBlocked
+	s.OmegaEvaluated += other.OmegaEvaluated
 }
 
 // Scan runs the complete OmegaPlus workflow (§III of the paper)
@@ -128,6 +134,7 @@ func scanRegions(ctx context.Context, comp *ld.Computer, a *seqio.Alignment, reg
 	st.R2Reused = m.R2Reused()
 	st.KernelScalar = s.ScalarRegions
 	st.KernelBlocked = s.BlockedRegions
+	st.OmegaEvaluated = s.Evaluated
 	return results, st, nil
 }
 
@@ -247,6 +254,7 @@ func ScanParallelCtx(ctx context.Context, a *seqio.Alignment, p Params, engine l
 		st.OmegaScores += scores[w]
 		st.KernelScalar += scratches[w].ScalarRegions
 		st.KernelBlocked += scratches[w].BlockedRegions
+		st.OmegaEvaluated += scratches[w].Evaluated
 	}
 	st.R2Computed = m.R2Computed()
 	st.R2Reused = m.R2Reused()

@@ -28,6 +28,10 @@ type Scratch struct {
 	// (the CPU analogue of the paper's Kernel I/II launch counts).
 	ScalarRegions  int64
 	BlockedRegions int64
+	// Evaluated counts the ω scores the kernels actually computed. It
+	// is at most the admissible count (Result.Scores) because the
+	// blocked kernel skips strips that cannot beat the running max.
+	Evaluated int64
 
 	// Right-border panels of the blocked kernel and the packed
 	// KernelInput buffers of the accelerator backends. The two uses never

@@ -221,6 +221,7 @@ func scanShard(ctx context.Context, comp *ld.Computer, a *seqio.Alignment, regio
 	st.R2Reused = m.R2Reused()
 	st.KernelScalar = sc.ScalarRegions
 	st.KernelBlocked = sc.BlockedRegions
+	st.OmegaEvaluated = sc.Evaluated
 	mt.Span(fmt.Sprintf("shard %d", track), lane, shardStart, time.Since(shardStart), false, map[string]any{
 		"regions":       sp.Hi - sp.Lo,
 		"r2_computed":   st.R2Computed,

@@ -300,6 +300,7 @@ func ScanStream(ctx context.Context, src seqio.ChunkSource, p Params, engine ld.
 	if sc != nil {
 		st.KernelScalar = sc.ScalarRegions
 		st.KernelBlocked = sc.BlockedRegions
+		st.OmegaEvaluated = sc.Evaluated
 	}
 	return results, st, sst, nil
 }

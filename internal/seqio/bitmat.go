@@ -249,12 +249,12 @@ func WriteBitmatFile(path string, a *Alignment) error {
 	return f.Close()
 }
 
-// WriteBitmatFileAtomic writes the alignment to path through a
-// temporary file in the same directory followed by a rename, so a
-// reader never observes a partially written bitmat file and a crash
-// mid-write leaves the previous content (or absence) intact. The
-// durable omegad blob store writes every dataset through this path.
-func WriteBitmatFileAtomic(path string, a *Alignment) error {
+// WriteFileAtomic writes a file at path through write, landing it via a
+// temporary file in the same directory, an fsync and a rename: a reader
+// never observes a partially written file, and a crash mid-write leaves
+// the previous content (or absence) intact. The durable omegad store
+// writes every job record, result and dataset blob through it.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	dir, base := filepath.Split(path)
 	if dir == "" {
 		dir = "."
@@ -268,7 +268,7 @@ func WriteBitmatFileAtomic(path string, a *Alignment) error {
 		f.Close()
 		os.Remove(tmp)
 	}
-	if err := WriteBitmat(f, a); err != nil {
+	if err := write(f); err != nil {
 		cleanup()
 		return err
 	}

@@ -2,6 +2,8 @@ package seqio
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -218,5 +220,33 @@ func TestCheckRowPadding(t *testing.T) {
 	words[1] = 1 << 40 // bit 104 of a 100-bit row
 	if err := checkRowPadding(words, 100); err == nil {
 		t.Fatal("dirty padding accepted")
+	}
+}
+
+// TestWriteFileAtomic: a successful write lands the callback's bytes; a
+// failing callback leaves the previous file intact and no temp file
+// behind.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "rec.json")
+	put := func(s string) func(w io.Writer) error {
+		return func(w io.Writer) error { _, err := io.WriteString(w, s); return err }
+	}
+	if err := WriteFileAtomic(path, put("first")); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	err := WriteFileAtomic(path, func(w io.Writer) error {
+		io.WriteString(w, "torn")
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failing write returned %v, want %v", err, boom)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "first" {
+		t.Errorf("after a failed write the file holds %q, want %q", got, "first")
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Errorf("directory holds %d entries, want only the target file", len(entries))
 	}
 }

@@ -15,7 +15,9 @@ package service
 import (
 	"context"
 	"fmt"
+	"log"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -302,6 +304,19 @@ func (s *Service) worker() {
 	}
 }
 
+// execute runs the job's executor and turns a panic into an error
+// naming it, so a faulty job fails alone instead of killing the worker
+// and every other in-flight job. The stack goes to the log.
+func (s *Service) execute(ctx context.Context, j *job) (res api.JobResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			log.Printf("job %s: %s executor panicked: %v\n%s", j.id, j.kind, p, debug.Stack())
+			err = fmt.Errorf("%s executor panicked: %v", j.kind, p)
+		}
+	}()
+	return executors[j.kind](ctx, s, j)
+}
+
 // run executes one dequeued job to a terminal state through its kind's
 // executor.
 func (s *Service) run(j *job) {
@@ -329,7 +344,7 @@ func (s *Service) run(j *job) {
 	j.setCancel(cancel)
 	defer cancel()
 
-	res, err := executors[j.kind](ctx, s, j)
+	res, err := s.execute(ctx, j)
 	now := s.now()
 	if err != nil {
 		switch {

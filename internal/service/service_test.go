@@ -9,11 +9,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -407,6 +410,49 @@ func TestDeadlineFailsWithTimeout(t *testing.T) {
 	resp, _ := get(t, srv, "/v1/jobs/"+st.ID+"/result")
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("failed job result: HTTP %d, want 504", resp.StatusCode)
+	}
+}
+
+// TestExecutorPanicFailsJobOnly: a panicking executor ends its own job
+// failed with an error naming the panic, logs the stack, and leaves the
+// single worker serving — the next job still succeeds.
+func TestExecutorPanicFailsJobOnly(t *testing.T) {
+	var logBuf bytes.Buffer
+	log.SetOutput(&logBuf)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+
+	var panicked atomic.Bool
+	_, srv := newTestService(t, Config{
+		Workers: 1,
+		scanFunc: func(ctx context.Context, ds *omegago.Dataset, c omegago.Config) (*omegago.Report, error) {
+			if panicked.CompareAndSwap(false, true) {
+				panic("kernel exploded")
+			}
+			return omegago.ScanContext(ctx, ds, c)
+		},
+	})
+
+	_, body := postScan(t, srv, uploadRequest(t, testDataset(t, 31)), "")
+	st, err := api.DecodeJobStatus(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitDone(t, srv, st.ID)
+	if final.State != api.StateFailed || final.Error == nil || final.Error.Code != api.CodeFailure ||
+		!strings.Contains(final.Error.Message, "scan executor panicked: kernel exploded") {
+		t.Fatalf("panicking job = %+v (error %+v)", final, final.Error)
+	}
+	if !strings.Contains(logBuf.String(), "kernel exploded") || !strings.Contains(logBuf.String(), "goroutine") {
+		t.Errorf("panic not logged with its stack:\n%s", logBuf.String())
+	}
+
+	_, body = postScan(t, srv, uploadRequest(t, testDataset(t, 37)), "")
+	st, err = api.DecodeJobStatus(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitDone(t, srv, st.ID); final.State != api.StateDone {
+		t.Fatalf("job after the panic = %+v (error %+v)", final, final.Error)
 	}
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -68,7 +69,7 @@ func (s *FSStore) PutJob(rec JobRecord) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(s.jobPath(rec.ID()), b); err != nil {
+	if err := seqio.WriteFileAtomic(s.jobPath(rec.ID()), writeBytes(b)); err != nil {
 		return fmt.Errorf("store: writing job %s: %w", rec.ID(), err)
 	}
 	s.met.JobWrites.Inc()
@@ -121,7 +122,7 @@ func (s *FSStore) PutResult(key string, res api.JobResult) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(path, canon); err != nil {
+	if err := seqio.WriteFileAtomic(path, writeBytes(canon)); err != nil {
 		return fmt.Errorf("store: writing result %s: %w", key, err)
 	}
 	s.met.ResultWrites.Inc()
@@ -165,7 +166,8 @@ func (s *FSStore) PutBlob(a *seqio.Alignment) ([32]byte, error) {
 	hh := hashHexOf(hash)
 	path := s.blobPath(hh)
 	if _, err := os.Stat(path); os.IsNotExist(err) {
-		if err := seqio.WriteBitmatFileAtomic(path, a); err != nil {
+		err := seqio.WriteFileAtomic(path, func(w io.Writer) error { return seqio.WriteBitmat(w, a) })
+		if err != nil {
 			return hash, fmt.Errorf("store: writing blob %s: %w", hh, err)
 		}
 		s.met.BlobWrites.Inc()
@@ -235,37 +237,10 @@ func (s *FSStore) Durable() bool { return true }
 // their own lifecycle).
 func (s *FSStore) Close() error { return nil }
 
-// writeFileAtomic writes data to path via a same-directory temp file,
-// fsync, and rename.
-func writeFileAtomic(path string, data []byte) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	f, err := os.CreateTemp(dir, "."+base+".tmp*")
-	if err != nil {
+// writeBytes is the WriteFileAtomic callback that writes data as is.
+func writeBytes(data []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
 	}
-	tmp := f.Name()
-	cleanup := func() {
-		f.Close()
-		os.Remove(tmp)
-	}
-	if _, err := f.Write(data); err != nil {
-		cleanup()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }

@@ -267,6 +267,14 @@ func TestObsScanBatchAggregation(t *testing.T) {
 	if met.OmegaScores.Value() != brep.OmegaScores {
 		t.Errorf("ω counter = %d, report says %d", met.OmegaScores.Value(), brep.OmegaScores)
 	}
+	if ev := met.OmegaEvaluated.Value(); ev != brep.OmegaEvaluated || ev <= 0 || ev > brep.OmegaScores {
+		t.Errorf("evaluated counter = %d, report says %d of %d admissible", ev, brep.OmegaEvaluated, brep.OmegaScores)
+	}
+	// The process-wide throughput gauge is gone: concurrent scans
+	// overwrote each other's value. Progress.OmegaPerSec carries it.
+	if strings.Contains(body, "omegago_omega_per_second") {
+		t.Error("/metrics still exposes omegago_omega_per_second")
+	}
 	if met.Scans.Value() != int64(replicates) || met.ScansInFlight.Value() != 0 {
 		t.Errorf("lifecycle: scans=%d in-flight=%g", met.Scans.Value(), met.ScansInFlight.Value())
 	}

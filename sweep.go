@@ -257,9 +257,14 @@ type Report struct {
 	// Backend that produced the results.
 	Backend Backend
 	// OmegaScores / R2Computed / R2Reused count the work performed.
-	OmegaScores int64
-	R2Computed  int64
-	R2Reused    int64
+	// OmegaScores is the admissible border-combination count (the
+	// Table III numerator); OmegaEvaluated is how many of those ω values
+	// were actually computed — lower on the CPU backend, whose blocked
+	// kernel skips combinations that cannot beat the running max.
+	OmegaScores    int64
+	OmegaEvaluated int64
+	R2Computed     int64
+	R2Reused       int64
 	// R2Duplicated counts r² values recomputed at shard boundaries by
 	// the sharded scheduler (a subset of R2Computed); zero otherwise.
 	R2Duplicated int64
@@ -407,9 +412,9 @@ func scanResolved(ctx context.Context, ds *Dataset, cfg Config, p omega.Params, 
 	st.Publish(cfg.Metrics)
 	return &Report{
 		Results: out.Results, Backend: cfg.Backend,
-		OmegaScores: st.OmegaScores, R2Computed: st.R2Computed, R2Reused: st.R2Reused,
-		R2Duplicated: st.R2Duplicated,
-		LDSeconds:    st.LDSeconds, OmegaSeconds: st.OmegaSeconds,
+		OmegaScores: st.OmegaScores, OmegaEvaluated: st.OmegaEvaluated,
+		R2Computed: st.R2Computed, R2Reused: st.R2Reused, R2Duplicated: st.R2Duplicated,
+		LDSeconds: st.LDSeconds, OmegaSeconds: st.OmegaSeconds,
 		SnapshotSeconds:   st.SnapshotSeconds,
 		WallSeconds:       time.Since(t0).Seconds(),
 		OmegaKernelScalar: st.OmegaKernelScalar, OmegaKernelBlocked: st.OmegaKernelBlocked,
