@@ -161,7 +161,7 @@ func BenchmarkFig14WorkloadSplit(b *testing.B) {
 			var st omega.Stats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, s, err := omega.Scan(a, w.Params(), ld.Direct, 1)
+				_, s, err := omega.ScanCtx(context.Background(), a, w.Params(), ld.Direct)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -185,7 +185,7 @@ func BenchmarkTable3Throughput(b *testing.B) {
 			var st omega.Stats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, s, err := omega.Scan(a, w.Params(), ld.Direct, 1)
+				_, s, err := omega.ScanCtx(context.Background(), a, w.Params(), ld.Direct)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -207,7 +207,7 @@ func BenchmarkTable4Multithreaded(b *testing.B) {
 		b.Run(benchName(threads), func(b *testing.B) {
 			var st omega.Stats
 			for i := 0; i < b.N; i++ {
-				_, s, err := omega.ScanParallel(a, w.Params(), ld.Direct, threads)
+				_, s, err := omega.ScanParallelCtx(context.Background(), a, w.Params(), ld.Direct, threads, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -223,7 +223,7 @@ func benchName(threads int) string {
 	return map[int]string{1: "1thread", 2: "2threads", 3: "3threads", 4: "4threads", 8: "8threads"}[threads]
 }
 
-// BenchmarkScanSharded compares the snapshot scheduler (ScanParallel,
+// BenchmarkScanSharded compares the snapshot scheduler (ScanParallelCtx,
 // whose single producer computes all LD serially) against the sharded
 // scheduler (per-shard DP matrices, fully parallel LD) on a grid where
 // LD dominates: 1024 samples make each r² a 16-word popcount while
@@ -236,7 +236,7 @@ func BenchmarkScanSharded(b *testing.B) {
 	for _, threads := range []int{1, 4, 8} {
 		b.Run("snapshot/"+benchName(threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := omega.ScanParallel(a, p, ld.Direct, threads); err != nil {
+				if _, _, err := omega.ScanParallelCtx(context.Background(), a, p, ld.Direct, threads, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -244,7 +244,7 @@ func BenchmarkScanSharded(b *testing.B) {
 		b.Run("sharded/"+benchName(threads), func(b *testing.B) {
 			var st omega.Stats
 			for i := 0; i < b.N; i++ {
-				s, stats, err := omega.ScanSharded(a, p, ld.Direct, threads)
+				s, stats, err := omega.ScanShardedCtx(context.Background(), a, p, ld.Direct, threads, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -53,7 +53,7 @@ func main() {
 		}
 		m := omega.NewDPMatrix(ld.NewComputer(a, ld.Direct, 1))
 		for _, reg := range regions {
-			if reg.Lo > reg.Hi || reg.K < reg.Lo || reg.K >= reg.Hi {
+			if reg.Skipped() {
 				continue
 			}
 			m.Advance(reg.Lo, reg.Hi)

@@ -61,27 +61,7 @@ func (cpuBackend) Scan(ctx context.Context, a *seqio.Alignment, p omega.Params, 
 		if err != nil {
 			return nil, err
 		}
-		return &Output{
-			Results: results,
-			Stats: Stats{
-				Grid:                 st.Grid,
-				OmegaScores:          st.OmegaScores,
-				OmegaEvaluated:       st.OmegaEvaluated,
-				R2Computed:           st.R2Computed,
-				R2Reused:             st.R2Reused,
-				R2Duplicated:         st.R2Duplicated,
-				LDSeconds:            st.LDTime.Seconds(),
-				OmegaSeconds:         st.OmegaTime.Seconds(),
-				WallSeconds:          time.Since(t0).Seconds(),
-				OmegaKernelScalar:    st.KernelScalar,
-				OmegaKernelBlocked:   st.KernelBlocked,
-				StreamChunks:         sst.Chunks,
-				StreamBytesRead:      sst.BytesRead,
-				StreamCompressedSNPs: sst.CompressedSNPs,
-				StreamLoadSeconds:    sst.LoadTime.Seconds(),
-				StreamStallSeconds:   sst.StallTime.Seconds(),
-			},
-		}, nil
+		return &Output{Results: results, Stats: cpuStats(st, sst, t0)}, nil
 	}
 	var (
 		results []omega.Result
@@ -96,21 +76,29 @@ func (cpuBackend) Scan(ctx context.Context, a *seqio.Alignment, p omega.Params, 
 	if err != nil {
 		return nil, err
 	}
-	return &Output{
-		Results: results,
-		Stats: Stats{
-			Grid:               st.Grid,
-			OmegaScores:        st.OmegaScores,
-			OmegaEvaluated:     st.OmegaEvaluated,
-			R2Computed:         st.R2Computed,
-			R2Reused:           st.R2Reused,
-			R2Duplicated:       st.R2Duplicated,
-			LDSeconds:          st.LDTime.Seconds(),
-			OmegaSeconds:       st.OmegaTime.Seconds(),
-			SnapshotSeconds:    st.SnapshotTime.Seconds(),
-			WallSeconds:        time.Since(t0).Seconds(),
-			OmegaKernelScalar:  st.KernelScalar,
-			OmegaKernelBlocked: st.KernelBlocked,
-		},
-	}, nil
+	return &Output{Results: results, Stats: cpuStats(st, omega.StreamStats{}, t0)}, nil
+}
+
+// cpuStats converts a CPU scan's accounting into Stats; sst is zero for
+// in-memory scans and t0 is when the scan started.
+func cpuStats(st omega.Stats, sst omega.StreamStats, t0 time.Time) Stats {
+	return Stats{
+		Grid:                 st.Grid,
+		OmegaScores:          st.OmegaScores,
+		OmegaEvaluated:       st.OmegaEvaluated,
+		R2Computed:           st.R2Computed,
+		R2Reused:             st.R2Reused,
+		R2Duplicated:         st.R2Duplicated,
+		LDSeconds:            st.LDTime.Seconds(),
+		OmegaSeconds:         st.OmegaTime.Seconds(),
+		SnapshotSeconds:      st.SnapshotTime.Seconds(),
+		WallSeconds:          time.Since(t0).Seconds(),
+		OmegaKernelScalar:    st.KernelScalar,
+		OmegaKernelBlocked:   st.KernelBlocked,
+		StreamChunks:         sst.Chunks,
+		StreamBytesRead:      sst.BytesRead,
+		StreamCompressedSNPs: sst.CompressedSNPs,
+		StreamLoadSeconds:    sst.LoadTime.Seconds(),
+		StreamStallSeconds:   sst.StallTime.Seconds(),
+	}
 }

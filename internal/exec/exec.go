@@ -41,10 +41,10 @@ const (
 	// and SchedSnapshot otherwise.
 	SchedAuto Scheduler = iota
 	// SchedSnapshot is the OmegaPlus-G style producer/consumer pipeline
-	// (omega.ScanParallel).
+	// (omega.ScanParallelCtx).
 	SchedSnapshot
 	// SchedSharded partitions the grid into contiguous shards with a
-	// private DP matrix each (omega.ScanSharded).
+	// private DP matrix each (omega.ScanShardedCtx).
 	SchedSharded
 )
 
@@ -118,8 +118,10 @@ type Stats struct {
 	OmegaEvaluated int64
 	R2Computed     int64 // fresh r² values (Equation 1 evaluations)
 	R2Reused       int64 // DP cells preserved by relocation (Equation 3 reuse)
-	// R2Duplicated counts r² recomputed at shard boundaries by the CPU
-	// sharded scheduler (a subset of R2Computed); zero otherwise.
+	// R2Duplicated counts r² recomputed at region-range boundaries (a
+	// subset of R2Computed): at shard boundaries by the CPU sharded
+	// scheduler and at chunk boundaries by streamed scans; zero for
+	// serial and snapshot scans and on accelerator backends.
 	R2Duplicated int64
 
 	// Phase times in seconds. For the CPU backend these are measured;

@@ -52,7 +52,7 @@ func TestBackendEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := testParams()
-	ref, _, err := omega.Scan(a, p, ld.Direct, 1)
+	ref, _, err := omega.ScanCtx(context.Background(), a, p, ld.Direct)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package fpga
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -237,12 +238,12 @@ func TestModelLDSeconds(t *testing.T) {
 func TestScanMatchesCPUScan(t *testing.T) {
 	a := testAlignment(t, 250, 40, 79)
 	p := omega.Params{GridSize: 15, MaxWindow: 80000}
-	cpuRes, cpuStats, err := omega.Scan(a, p, ld.Direct, 1)
+	cpuRes, cpuStats, err := omega.ScanCtx(context.Background(), a, p, ld.Direct)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range Catalog() {
-		rep, err := Scan(d, a, p, Options{})
+		rep, err := ScanCtx(context.Background(), d, a, p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,11 +278,11 @@ func skippedScores(*ScanReport) int64 { return 0 }
 func TestAlveoFasterThanZCU(t *testing.T) {
 	a := testAlignment(t, 200, 30, 83)
 	p := omega.Params{GridSize: 10, MaxWindow: 1e6}
-	zcu, err := Scan(ZCU102, a, p, Options{})
+	zcu, err := ScanCtx(context.Background(), ZCU102, a, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	alveo, err := Scan(AlveoU200, a, p, Options{})
+	alveo, err := ScanCtx(context.Background(), AlveoU200, a, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestResourceEstimateMonotone(t *testing.T) {
 func TestScanScheduledMatchesSingleCard(t *testing.T) {
 	a := testAlignment(t, 220, 30, 89)
 	p := omega.Params{GridSize: 12, MaxWindow: 80000}
-	single, err := Scan(AlveoU200, a, p, Options{})
+	single, err := ScanCtx(context.Background(), AlveoU200, a, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

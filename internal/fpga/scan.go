@@ -39,16 +39,11 @@ func (r *ScanReport) OmegaSeconds() float64 { return r.HardwareSeconds + r.Softw
 // TotalSeconds is the modeled end-to-end accelerator time.
 func (r *ScanReport) TotalSeconds() float64 { return r.LDSeconds + r.OmegaSeconds() }
 
-// Scan runs the complete FPGA-accelerated OmegaPlus workflow on the
-// simulated device.
-func Scan(d Device, a *seqio.Alignment, p omega.Params, opts Options) (*ScanReport, error) {
-	return ScanCtx(context.Background(), d, a, p, opts)
-}
-
-// ScanCtx is Scan with cancellation: the grid loop checks ctx before
-// dispatching each position's LD batch and ω pipeline run, so a
-// cancelled or expired context aborts the scan within one grid position
-// of work and returns ctx.Err().
+// ScanCtx runs the complete FPGA-accelerated OmegaPlus workflow on the
+// simulated device. The grid loop checks ctx before dispatching each
+// position's LD batch and ω pipeline run, so a cancelled or expired
+// context aborts the scan within one grid position of work and returns
+// ctx.Err().
 func ScanCtx(ctx context.Context, d Device, a *seqio.Alignment, p omega.Params, opts Options) (*ScanReport, error) {
 	p = p.WithDefaults()
 	regions, err := omega.BuildRegions(a, p)
@@ -68,7 +63,7 @@ func ScanCtx(ctx context.Context, d Device, a *seqio.Alignment, p omega.Params, 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if reg.Lo > reg.Hi || reg.K < reg.Lo || reg.K >= reg.Hi {
+		if reg.Skipped() {
 			rep.Results = append(rep.Results, omega.Result{GridIndex: reg.Index, Center: reg.Center})
 			mt.Tick(0, 0)
 			continue

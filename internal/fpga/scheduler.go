@@ -53,7 +53,7 @@ func ScanScheduled(cards []Device, a *seqio.Alignment, p omega.Params, opts Opti
 		PerCardPositions: make([]int, len(cards)),
 	}
 	for _, reg := range regions {
-		if reg.Lo > reg.Hi || reg.K < reg.Lo || reg.K >= reg.Hi {
+		if reg.Skipped() {
 			rep.Results = append(rep.Results, omega.Result{GridIndex: reg.Index, Center: reg.Center})
 			continue
 		}

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -263,12 +264,12 @@ func TestLaunchOmegaNilInput(t *testing.T) {
 func TestScanMatchesCPUScan(t *testing.T) {
 	a := testAlignment(t, 250, 40, 59)
 	p := omega.Params{GridSize: 15, MaxWindow: 80000}
-	cpuRes, cpuStats, err := omega.Scan(a, p, ld.Direct, 1)
+	cpuRes, cpuStats, err := omega.ScanCtx(context.Background(), a, p, ld.Direct)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range Catalog() {
-		rep, err := Scan(d, Dynamic, a, p, Options{})
+		rep, err := ScanCtx(context.Background(), d, Dynamic, a, p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +360,7 @@ func TestScanSweepDetectionOnGPU(t *testing.T) {
 	}
 	const L = 150000
 	a, _ := reps[0].ToAlignment(L)
-	rep, err := Scan(TeslaK80, Dynamic, a, omega.Params{GridSize: 30, MaxWindow: 30000}, Options{})
+	rep, err := ScanCtx(context.Background(), TeslaK80, Dynamic, a, omega.Params{GridSize: 30, MaxWindow: 30000}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,11 +376,11 @@ func TestScanSweepDetectionOnGPU(t *testing.T) {
 func TestOverlapTransfersReducesExposedTime(t *testing.T) {
 	a := testAlignment(t, 300, 40, 67)
 	p := omega.Params{GridSize: 12, MaxWindow: 80000}
-	plain, err := Scan(TeslaK80, Dynamic, a, p, Options{})
+	plain, err := ScanCtx(context.Background(), TeslaK80, Dynamic, a, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	overlapped, err := Scan(TeslaK80, Dynamic, a, p, Options{OverlapTransfers: true})
+	overlapped, err := ScanCtx(context.Background(), TeslaK80, Dynamic, a, p, Options{OverlapTransfers: true})
 	if err != nil {
 		t.Fatal(err)
 	}

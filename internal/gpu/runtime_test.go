@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"math/bits"
 	"math/rand"
 	"strings"
@@ -277,11 +278,11 @@ func TestCustomDeviceRunsScan(t *testing.T) {
 	}
 	a := testAlignment(t, 150, 25, 111)
 	p := omegaParams(8, 60000)
-	ref, err := Scan(TeslaK80, Dynamic, a, p, Options{})
+	ref, err := ScanCtx(context.Background(), TeslaK80, Dynamic, a, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Scan(d, Dynamic, a, p, Options{})
+	got, err := ScanCtx(context.Background(), d, Dynamic, a, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,16 +64,11 @@ func (r *ScanReport) OmegaSeconds() float64 {
 // TotalSeconds is the total modeled accelerator time (LD + ω).
 func (r *ScanReport) TotalSeconds() float64 { return r.LDSeconds + r.OmegaSeconds() }
 
-// Scan runs the complete GPU-accelerated OmegaPlus workflow on the
-// simulated device.
-func Scan(d Device, kind Kind, a *seqio.Alignment, p omega.Params, opts Options) (*ScanReport, error) {
-	return ScanCtx(context.Background(), d, kind, a, p, opts)
-}
-
-// ScanCtx is Scan with cancellation: the grid loop checks ctx before
-// dispatching each position's LD GEMM and ω kernel, so a cancelled or
-// expired context aborts the scan within one grid position of work and
-// returns ctx.Err().
+// ScanCtx runs the complete GPU-accelerated OmegaPlus workflow on the
+// simulated device. The grid loop checks ctx before dispatching each
+// position's LD GEMM and ω kernel, so a cancelled or expired context
+// aborts the scan within one grid position of work and returns
+// ctx.Err().
 func ScanCtx(ctx context.Context, d Device, kind Kind, a *seqio.Alignment, p omega.Params, opts Options) (*ScanReport, error) {
 	p = p.WithDefaults()
 	regions, err := omega.BuildRegions(a, p)
@@ -95,7 +90,7 @@ func ScanCtx(ctx context.Context, d Device, kind Kind, a *seqio.Alignment, p ome
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if reg.Lo > reg.Hi || reg.K < reg.Lo || reg.K >= reg.Hi {
+		if reg.Skipped() {
 			rep.Results = append(rep.Results, omega.Result{GridIndex: reg.Index, Center: reg.Center})
 			mt.Tick(0, 0)
 			continue

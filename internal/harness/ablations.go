@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -41,7 +42,7 @@ func Ablations(quick bool) (*Table, error) {
 		if reuse {
 			m := omega.NewDPMatrix(ld.NewComputer(a, ld.Direct, 1))
 			for _, reg := range regions {
-				if reg.Lo > reg.Hi || reg.K < reg.Lo || reg.K >= reg.Hi {
+				if reg.Skipped() {
 					continue
 				}
 				m.Advance(reg.Lo, reg.Hi)
@@ -50,7 +51,7 @@ func Ablations(quick bool) (*Table, error) {
 			computed = m.R2Computed()
 		} else {
 			for _, reg := range regions {
-				if reg.Lo > reg.Hi || reg.K < reg.Lo || reg.K >= reg.Hi {
+				if reg.Skipped() {
 					continue
 				}
 				m := omega.NewDPMatrix(ld.NewComputer(a, ld.Direct, 1))
@@ -119,7 +120,7 @@ func Ablations(quick bool) (*Table, error) {
 
 	// --- transfer/kernel overlap (double buffering, Fig. 14 caption) ---
 	for _, overlap := range []bool{false, true} {
-		rep, err := gpu.Scan(gpu.TeslaK80, gpu.Dynamic, a, p, gpu.Options{OverlapTransfers: overlap})
+		rep, err := gpu.ScanCtx(context.Background(), gpu.TeslaK80, gpu.Dynamic, a, p, gpu.Options{OverlapTransfers: overlap})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -156,7 +157,7 @@ func kernelInputs(a *seqio.Alignment, p omega.Params) ([]*omega.KernelInput, err
 	m := omega.NewDPMatrix(ld.NewComputer(a, ld.Direct, 1))
 	var ins []*omega.KernelInput
 	for _, reg := range regions {
-		if reg.Lo > reg.Hi || reg.K < reg.Lo || reg.K >= reg.Hi {
+		if reg.Skipped() {
 			continue
 		}
 		m.Advance(reg.Lo, reg.Hi)
@@ -315,7 +316,7 @@ func Profile(quick bool) (*Table, error) {
 	}
 	packSec := time.Since(t1).Seconds()
 
-	_, st, err := omega.Scan(a, w.Params(), ld.Direct, 1)
+	_, st, err := omega.ScanCtx(context.Background(), a, w.Params(), ld.Direct)
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +402,7 @@ func runWorkloadUncached(w Workload) (cpu, gpuRun, fpgaRun platformRun, err erro
 		LDSeconds: meas.Stats.LDTime.Seconds(), OmSeconds: meas.Stats.OmegaTime.Seconds(),
 		LDScores: meas.Stats.R2Computed, OmScores: meas.Stats.OmegaScores,
 	}
-	grep, err := gpu.Scan(gpu.TeslaK80, gpu.Dynamic, a, p, gpu.Options{})
+	grep, err := gpu.ScanCtx(context.Background(), gpu.TeslaK80, gpu.Dynamic, a, p, gpu.Options{})
 	if err != nil {
 		return
 	}
@@ -414,7 +415,7 @@ func runWorkloadUncached(w Workload) (cpu, gpuRun, fpgaRun platformRun, err erro
 	// is static data, so workload comparisons are reproducible across
 	// hosts (and under the race detector) instead of depending on a rate
 	// measured at run time.
-	frep, err := fpga.Scan(fpga.AlveoU200, a, p, fpga.Options{})
+	frep, err := fpga.ScanCtx(context.Background(), fpga.AlveoU200, a, p, fpga.Options{})
 	if err != nil {
 		return
 	}
@@ -513,7 +514,7 @@ func Table4(quick bool) (*Table, error) {
 	base := 0.0
 	for _, th := range threads {
 		t0 := time.Now()
-		_, st, err := omega.ScanParallel(a, p, ld.Direct, th)
+		_, st, err := omega.ScanParallelCtx(context.Background(), a, p, ld.Direct, th, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -12,6 +12,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -206,7 +207,7 @@ func calibrate() {
 		// Scalar reference kernel: the calibration models the paper's
 		// serial CPU cost per ω score (see Workload.Params).
 		p := omega.Params{GridSize: 10, MaxWindow: 200000, Kernel: omega.KernelScalar}.WithDefaults()
-		_, st, err := omega.Scan(a, p, ld.Direct, 1)
+		_, st, err := omega.ScanCtx(context.Background(), a, p, ld.Direct)
 		if err != nil {
 			panic(fmt.Sprintf("harness: calibration scan: %v", err))
 		}
@@ -251,7 +252,7 @@ type cpuMeasurement struct {
 
 func measureCPU(a *seqio.Alignment, p omega.Params, threads int) (cpuMeasurement, []omega.Result, error) {
 	t0 := time.Now()
-	results, st, err := omega.ScanParallel(a, p, ld.Direct, threads)
+	results, st, err := omega.ScanParallelCtx(context.Background(), a, p, ld.Direct, threads, nil)
 	if err != nil {
 		return cpuMeasurement{}, nil, err
 	}

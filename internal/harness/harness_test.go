@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -316,7 +317,7 @@ func TestFPGAModelUsesCalibratedCPU(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := omega.Params{GridSize: 4}
-	rep, err := fpga.Scan(fpga.ZCU102, a, p, fpga.Options{CPUSecondsPerOmega: CalibrateCPUOmega()})
+	rep, err := fpga.ScanCtx(context.Background(), fpga.ZCU102, a, p, fpga.Options{CPUSecondsPerOmega: CalibrateCPUOmega()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,7 +158,7 @@ func (c *Computer) Alignment() *seqio.Alignment { return c.aln }
 // engine. The immutable per-SNP tables are shared (they are computed
 // once, at NewComputer time), but the score counter starts at zero, so
 // each clone tallies only its own r² evaluations. This is what lets
-// omega.ScanSharded give every shard its own LD computer without
+// omega.ScanShardedCtx give every shard its own LD computer without
 // re-deriving the tables or contending on one atomic counter.
 func (c *Computer) Clone() *Computer {
 	return &Computer{aln: c.aln, engine: c.engine, workers: c.workers, masked: c.masked,

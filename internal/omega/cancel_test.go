@@ -33,7 +33,7 @@ func cancelAlignment(t *testing.T, segSites, samples int, seed int64) *seqio.Ali
 func cancelScanners(threads int) map[string]func(context.Context, *seqio.Alignment, Params, ld.Engine) ([]Result, Stats, error) {
 	return map[string]func(context.Context, *seqio.Alignment, Params, ld.Engine) ([]Result, Stats, error){
 		"serial": func(ctx context.Context, a *seqio.Alignment, p Params, e ld.Engine) ([]Result, Stats, error) {
-			return ScanCtx(ctx, a, p, e, 1)
+			return ScanCtx(ctx, a, p, e)
 		},
 		"snapshot": func(ctx context.Context, a *seqio.Alignment, p Params, e ld.Engine) ([]Result, Stats, error) {
 			return ScanParallelCtx(ctx, a, p, e, threads, nil)
@@ -77,7 +77,7 @@ func TestScanCancellation(t *testing.T) {
 func TestScanCancellationUnaffectedWhenUncancelled(t *testing.T) {
 	a := cancelAlignment(t, 300, 24, 2222)
 	p := Params{GridSize: 30, MaxWindow: 30000}
-	ref, _, err := Scan(a, p, ld.Direct, 1)
+	ref, _, err := ScanCtx(context.Background(), a, p, ld.Direct)
 	if err != nil {
 		t.Fatal(err)
 	}

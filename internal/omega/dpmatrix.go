@@ -177,7 +177,7 @@ type View struct {
 
 // Snapshot captures the current window as an immutable View. Only the
 // row-header slice is copied (cell storage is written once), so the
-// cost is O(rows), not O(cells); ScanParallel accounts it separately in
+// cost is O(rows), not O(cells); ScanParallelCtx accounts it separately in
 // Stats.SnapshotTime to keep the Fig. 14 LD/ω split clean.
 func (m *DPMatrix) Snapshot() *View {
 	rows := make([][]float64, len(m.rows))

@@ -1,6 +1,8 @@
 package omega
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -130,5 +132,87 @@ func FuzzBlockedKernelMatchesScalar(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// FuzzScanPathsMatchSerial is the differential oracle of the region-range
+// driver. Over random small alignments, grids and windows — empty
+// regions and ranges of skipped regions included — the sharded and
+// snapshot schedulers and the streamed scan at any chunk size must
+// return the serial scan's results and score counts exactly, and their
+// extra r² must be exactly the boundary triangles they report as
+// duplicated (none for the snapshot scheduler, which slides one matrix).
+func FuzzScanPathsMatchSerial(f *testing.F) {
+	f.Add(int64(1), uint8(40), uint8(16), uint8(0), uint16(0), uint8(0), uint8(12), uint16(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(60), uint8(24), uint8(fuzzMasks), uint16(300), uint8(0), uint8(15), uint16(40), uint8(1), uint8(1), uint8(1))
+	f.Add(int64(3), uint8(70), uint8(12), uint8(fuzzDuplicates), uint16(0), uint8(6), uint8(9), uint16(8), uint8(2), uint8(7), uint8(2))
+	f.Add(int64(4), uint8(50), uint8(20), uint8(fuzzMinSide1|fuzzMonomorph), uint16(0), uint8(0), uint8(14), uint16(3), uint8(2), uint8(2), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, snps, samples, flags uint8, minWin uint16, maxSide, grid uint8, maxWin uint16, threads, chunk, kernel uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		a := fuzzAlignment(rng, 2+int(snps)%79, 2+int(samples)%70, flags)
+		p := Params{
+			GridSize:       1 + int(grid)%24,
+			MinWindow:      float64(minWin) * 4,
+			MaxWindow:      float64(maxWin) * 50, // 0 = unbounded; small windows leave regions empty
+			MaxSNPsPerSide: int(maxSide) % 24,
+			Kernel:         KernelKind(kernel % 3),
+		}
+		if flags&fuzzMinSide1 != 0 {
+			p.MinSNPsPerSide = 1
+		}
+		if p.MaxSNPsPerSide != 0 && p.MaxSNPsPerSide < p.WithDefaults().MinSNPsPerSide {
+			p.MaxSNPsPerSide = p.WithDefaults().MinSNPsPerSide
+		}
+		ctx := context.Background()
+		serial, stS, err := ScanCtx(ctx, a, p, ld.Direct)
+		if err != nil {
+			t.Skip(err)
+		}
+		check := func(name string, results []Result, st Stats) {
+			t.Helper()
+			if len(results) != len(serial) {
+				t.Fatalf("%s: %d results, want %d", name, len(results), len(serial))
+			}
+			for i := range results {
+				if results[i] != serial[i] {
+					t.Fatalf("%s: result[%d] = %+v, want %+v", name, i, results[i], serial[i])
+				}
+			}
+			if st.Grid != stS.Grid || st.OmegaScores != stS.OmegaScores || st.OmegaEvaluated != stS.OmegaEvaluated ||
+				st.KernelScalar != stS.KernelScalar || st.KernelBlocked != stS.KernelBlocked {
+				t.Fatalf("%s: work counters %+v, serial %+v", name, st, stS)
+			}
+			if st.R2Computed-st.R2Duplicated != stS.R2Computed {
+				t.Fatalf("%s: r² computed %d − duplicated %d != serial %d", name, st.R2Computed, st.R2Duplicated, stS.R2Computed)
+			}
+		}
+
+		th := 2 + int(threads)%3
+		sharded, st, err := ScanShardedCtx(ctx, a, p, ld.Direct, th, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("sharded", sharded, st)
+		snapshot, st, err := ScanParallelCtx(ctx, a, p, ld.Direct, th, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("snapshot", snapshot, st)
+		if st.R2Duplicated != 0 {
+			t.Fatalf("snapshot: R2Duplicated = %d, want 0", st.R2Duplicated)
+		}
+
+		// chunkSNPs 0 is the default plan; 1 and anything below the widest
+		// region force one chunk per scored region.
+		chunkSNPs := int(chunk) % (a.NumSNPs() + 2)
+		src, err := seqio.NewAlignmentSource(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed, st, _, err := ScanStream(ctx, src, p, ld.Direct, 1, chunkSNPs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("stream chunk=%d", chunkSNPs), streamed, st)
 	})
 }

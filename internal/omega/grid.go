@@ -7,13 +7,20 @@
 //
 // Entry points, all bit-identical in their Results:
 //
-//   - Scan / ScanCtx — the serial reference workflow.
-//   - ScanParallel / ScanSharded — the snapshot and work-sharded
-//     multithreaded schedulers (see shard.go for the boundary-triangle
-//     accounting that keeps the reuse counters honest).
+//   - ScanCtx — the serial reference workflow.
+//   - ScanParallelCtx — the snapshot scheduler: one producer slides the
+//     DP matrix, workers score immutable snapshots.
+//   - ScanShardedCtx — the work-sharded scheduler: contiguous region
+//     ranges scanned in parallel, each with a private DP matrix.
 //   - ScanStream — the out-of-core path: an seqio.ChunkSource delivers
 //     overlapping row chunks, double-buffered against compute, with
 //     only the live DP band resident (stream.go).
+//
+// The serial, sharded and streamed scans share one region-range driver
+// (scanRange in scan.go). A fresh DP matrix over a contiguous range of
+// regions reproduces the serial cells bit for bit; the r² a serial
+// matrix would have relocated instead is reported as
+// Stats.R2Duplicated.
 //
 // The per-region ω evaluation itself is pluggable: a registry of
 // Kernel implementations (kernels.go — scalar reference, branch-free
@@ -111,6 +118,13 @@ type Region struct {
 	K      int     // junction; K < Lo means the left side is empty
 }
 
+// Skipped reports whether the region is not scored: it is empty, or
+// its junction leaves one side without SNPs. Scans give such a region a
+// zero Result without touching the DP matrix.
+func (r Region) Skipped() bool {
+	return r.Lo > r.Hi || r.K < r.Lo || r.K >= r.Hi
+}
+
 // LeftSNPs returns the number of SNPs on the left side.
 func (r Region) LeftSNPs() int {
 	if r.K < r.Lo {
@@ -200,7 +214,7 @@ func (r Region) borders(p Params) (lMax, lMin, rMin, rMax int, ok bool) {
 			rMax = hi
 		}
 	}
-	ok = lMax >= lMin && rMax >= rMin && r.K >= r.Lo && r.K < r.Hi
+	ok = lMax >= lMin && rMax >= rMin && !r.Skipped()
 	return lMax, lMin, rMin, rMax, ok
 }
 

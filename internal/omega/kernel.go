@@ -31,8 +31,11 @@ func Score(ls, rs, ts, kl, kr, ln, rn, eps float64) float64 {
 type Result struct {
 	GridIndex int
 	Center    float64 // ω position in bp
-	Valid     bool    // false when the region has no admissible window
-	MaxOmega  float64
+	// Valid is false when the region has no admissible window, or when
+	// no admissible window scores a number (every ω is 0/0, possible
+	// with MinSNPsPerSide 1); Scores still counts the admissible windows.
+	Valid    bool
+	MaxOmega float64
 	// LeftBorder/RightBorder are the global SNP indices of the maximizing
 	// window; LeftPos/RightPos their bp positions.
 	LeftBorder, RightBorder int

@@ -164,8 +164,8 @@ func (scalarKernel) Evaluate(s *Scratch, m MatrixView, reg Region, p Params) Res
 		}
 	}
 	s.Evaluated += res.Scores
-	if res.Scores == 0 {
-		return Result{GridIndex: reg.Index, Center: reg.Center}
+	if math.IsInf(res.MaxOmega, -1) { // nothing scored, or every ω was NaN
+		return Result{GridIndex: reg.Index, Center: reg.Center, Scores: res.Scores}
 	}
 	res.Valid = true
 	res.LeftPos = pos[res.LeftBorder]
@@ -367,8 +367,8 @@ func (blockedKernel) Evaluate(s *Scratch, m MatrixView, reg Region, p Params) Re
 		}
 	}
 	s.Evaluated += evaluated
-	if scores == 0 {
-		return Result{GridIndex: reg.Index, Center: reg.Center}
+	if math.IsInf(best, -1) { // nothing scored, or every ω was NaN
+		return Result{GridIndex: reg.Index, Center: reg.Center, Scores: scores}
 	}
 	return Result{
 		GridIndex: reg.Index, Center: reg.Center, Valid: true,

@@ -1,6 +1,7 @@
 package omega
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -16,7 +17,7 @@ import (
 func scanWithKernel(t *testing.T, a *seqio.Alignment, p Params, kind KernelKind) ([]Result, Stats) {
 	t.Helper()
 	p.Kernel = kind
-	res, st, err := Scan(a, p, ld.Direct, 1)
+	res, st, err := ScanCtx(context.Background(), a, p, ld.Direct)
 	if err != nil {
 		t.Fatalf("scan with kernel %v: %v", kind, err)
 	}
@@ -218,13 +219,13 @@ func TestKernelsAcrossSchedulers(t *testing.T) {
 	ref, _ := scanWithKernel(t, a, p, KernelScalar)
 
 	p.Kernel = KernelBlocked
-	snap, _, err := ScanParallel(a, p, ld.Direct, 3)
+	snap, _, err := ScanParallelCtx(context.Background(), a, p, ld.Direct, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireIdentical(t, ref, snap, "snapshot scheduler / blocked")
 
-	shard, _, err := ScanSharded(a, p, ld.Direct, 3)
+	shard, _, err := ScanShardedCtx(context.Background(), a, p, ld.Direct, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

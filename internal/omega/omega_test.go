@@ -1,6 +1,7 @@
 package omega
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -442,7 +443,7 @@ func TestScanSerialOnSimulatedData(t *testing.T) {
 	}
 	a, _ := reps[0].ToAlignment(100000)
 	p := Params{GridSize: 20, MaxWindow: 20000}
-	results, st, err := Scan(a, p, ld.Direct, 1)
+	results, st, err := ScanCtx(context.Background(), a, p, ld.Direct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,12 +475,12 @@ func TestScanParallelMatchesSerial(t *testing.T) {
 	}
 	a, _ := reps[0].ToAlignment(50000)
 	p := Params{GridSize: 16, MaxWindow: 10000}
-	serial, stS, err := Scan(a, p, ld.Direct, 1)
+	serial, stS, err := ScanCtx(context.Background(), a, p, ld.Direct)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, threads := range []int{2, 3, 4} {
-		par, stP, err := ScanParallel(a, p, ld.Direct, threads)
+		par, stP, err := ScanParallelCtx(context.Background(), a, p, ld.Direct, threads, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -514,7 +515,7 @@ func TestScanDetectsSweep(t *testing.T) {
 	const L = 200000
 	a, _ := reps[0].ToAlignment(L)
 	p := Params{GridSize: 40, MaxWindow: 40000}
-	results, _, err := Scan(a, p, ld.Direct, 1)
+	results, _, err := ScanCtx(context.Background(), a, p, ld.Direct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,7 +537,7 @@ func TestMaxResultEmpty(t *testing.T) {
 func TestScanParallelBadThreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	a := randomAlignment(rng, 10, 8, 1000)
-	if _, _, err := ScanParallel(a, Params{GridSize: 2}, ld.Direct, 0); err == nil {
+	if _, _, err := ScanParallelCtx(context.Background(), a, Params{GridSize: 2}, ld.Direct, 0, nil); err == nil {
 		t.Error("0 threads should error")
 	}
 }

@@ -20,17 +20,18 @@ type Stats struct {
 	R2Computed  int64 // fresh r² values (M cells filled)
 	R2Reused    int64 // M cells preserved by relocation
 	// R2Duplicated counts the subset of R2Computed that a serial scan
-	// would have obtained by relocation instead: the overlap triangles
-	// each ScanSharded shard recomputes at its left boundary because it
-	// owns a private DP matrix. Zero for serial and snapshot scans; it
-	// keeps the Table III reuse accounting honest under sharding.
+	// would have obtained by relocation instead: the overlap triangle
+	// each region range recomputes at its left boundary because it
+	// starts a fresh DP matrix — one per ScanShardedCtx shard and one
+	// per ScanStream chunk. Zero for serial and snapshot scans; it keeps
+	// the Table III reuse accounting honest under sharding and chunking.
 	R2Duplicated int64
 	// LDTime covers r² computation and the DP update of M; OmegaTime
 	// covers the ω nested loop. Summed across workers for parallel scans.
 	LDTime    time.Duration
 	OmegaTime time.Duration
 	// SnapshotTime is the cost of copying DP-matrix row headers for the
-	// snapshot scheduler's immutable views (ScanParallel). Kept separate
+	// snapshot scheduler's immutable views (ScanParallelCtx). Kept separate
 	// from LDTime so the Fig. 14 LD/ω split is not inflated by scheduling
 	// overhead that the paper's serial profile does not contain.
 	SnapshotTime time.Duration
@@ -63,7 +64,7 @@ func (s *Stats) Add(other Stats) {
 	s.OmegaEvaluated += other.OmegaEvaluated
 }
 
-// Scan runs the complete OmegaPlus workflow (§III of the paper)
+// ScanCtx runs the complete OmegaPlus workflow (§III of the paper)
 // serially: for every grid position, slide the DP matrix of Equation 3
 // to the region (computing Equation 1 r² for newly entering SNPs,
 // relocating the overlap) and score all admissible window combinations
@@ -71,74 +72,122 @@ func (s *Stats) Add(other Stats) {
 // the CPU baselines of Fig. 14 and Table III, and whose results every
 // other execution path — parallel schedulers and simulated
 // accelerators alike — must reproduce bit-identically.
-func Scan(a *seqio.Alignment, p Params, engine ld.Engine, ldWorkers int) ([]Result, Stats, error) {
-	return ScanCtx(context.Background(), a, p, engine, ldWorkers)
-}
-
-// ScanCtx is Scan with cancellation: the region loop checks ctx between
-// grid positions, so a cancelled or expired context aborts the scan
-// within one region of work and returns ctx.Err().
-func ScanCtx(ctx context.Context, a *seqio.Alignment, p Params, engine ld.Engine, ldWorkers int) ([]Result, Stats, error) {
+//
+// The region loop checks ctx between grid positions, so a cancelled or
+// expired context aborts the scan within one region of work and
+// returns ctx.Err().
+func ScanCtx(ctx context.Context, a *seqio.Alignment, p Params, engine ld.Engine) ([]Result, Stats, error) {
 	regions, err := BuildRegions(a, p)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	comp := ld.NewComputer(a, engine, ldWorkers)
-	return scanRegions(ctx, comp, a, regions, p, nil)
+	return scanRegions(ctx, ld.NewComputer(a, engine, 1), a, regions, p, nil)
 }
 
-// scanRegions evaluates a contiguous, sorted slice of regions with one
-// DP matrix, checking ctx once per region. mt (nil = disabled) receives
-// one progress tick and the LD/ω phase spans per region; the span
-// durations reuse the Stats timing measurements, so observability adds
-// no clock reads of its own.
+// scanRegions is the serial scan: the whole grid as one region range
+// on lane 0.
 func scanRegions(ctx context.Context, comp *ld.Computer, a *seqio.Alignment, regions []Region, p Params, mt *obs.Meter) ([]Result, Stats, error) {
 	p = p.WithDefaults()
 	krn, err := kernelFor(p)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	s := NewScratch(a, p)
-	m := NewDPMatrixScratch(comp, s)
-	results := make([]Result, 0, len(regions))
-	var st Stats
+	sc := NewScratch(a, p)
+	results := make([]Result, len(regions))
+	st, err := scanRange(ctx, NewDPMatrixScratch(comp, sc), sc, krn, p, regions, 0, len(regions), 0, results, mt, 0)
+	if err != nil {
+		return nil, st, err
+	}
+	st.addTallies(sc)
+	return results, st, nil
+}
+
+// scanRange is the region-range driver shared by the serial, sharded
+// and streamed scans (ARCHITECTURE.md §2.5): it advances the DP matrix
+// m to each scored region of regions[lo:hi) in order, evaluates it with
+// krn, and writes the result to its global slot out[i]. The matrix
+// covers SNP rows from global row off on (0 in memory, the chunk's
+// first row when streaming): region indices are shifted down by off on
+// the way in and border indices back up on the way out. m may be nil
+// only when every region in the range is skipped.
+//
+// The first scored region charges the overlap with its serial
+// predecessor — the triangle a serial matrix would have relocated — to
+// R2Duplicated; it is zero when the range starts the grid. Kernel
+// tallies stay on sc for the caller to read once, since a scratch may
+// outlive one range. mt (nil = disabled) receives LD/ω spans on lane
+// and one progress tick per region. The scan stops at the first region
+// that finds ctx done and returns ctx.Err() with the partial Stats.
+func scanRange(ctx context.Context, m *DPMatrix, sc *Scratch, krn Kernel, p Params, regions []Region, lo, hi, off int, out []Result, mt *obs.Meter, lane int) (st Stats, err error) {
+	first := true
 	var prevR2 int64
-	for _, reg := range regions {
-		if err := ctx.Err(); err != nil {
-			return nil, st, err
+	for i := lo; i < hi; i++ {
+		if err = ctx.Err(); err != nil {
+			break
 		}
+		reg := regions[i]
 		st.Grid++
-		if reg.Lo > reg.Hi || reg.K < reg.Lo || reg.K >= reg.Hi {
-			results = append(results, Result{GridIndex: reg.Index, Center: reg.Center})
+		if reg.Skipped() {
+			out[i] = Result{GridIndex: reg.Index, Center: reg.Center}
 			mt.Tick(0, 0)
 			continue
 		}
+		if first {
+			prevHi := -1
+			for j := i - 1; j >= 0; j-- {
+				if !regions[j].Skipped() {
+					prevHi = regions[j].Hi
+					break
+				}
+			}
+			st.R2Duplicated = triangleCells(prevHi - reg.Lo + 1)
+			first = false
+		}
+		local := reg
+		local.Lo -= off
+		local.Hi -= off
+		local.K -= off
+
 		t0 := time.Now()
-		m.Advance(reg.Lo, reg.Hi)
+		m.Advance(local.Lo, local.Hi)
 		dLD := time.Since(t0)
 		st.LDTime += dLD
-		mt.Span(obs.PhaseLD, 0, t0, dLD, false, nil)
+		mt.Span(obs.PhaseLD, lane, t0, dLD, false, nil)
 
 		t1 := time.Now()
-		res := krn.Evaluate(s, m, reg, p)
+		res := krn.Evaluate(sc, m, local, p)
 		dOmega := time.Since(t1)
 		st.OmegaTime += dOmega
-		mt.Span(obs.PhaseOmega, 0, t1, dOmega, false, nil)
+		mt.Span(obs.PhaseOmega, lane, t1, dOmega, false, nil)
+		if res.Valid {
+			res.LeftBorder += off
+			res.RightBorder += off
+		}
 		st.OmegaScores += res.Scores
-		results = append(results, res)
+		out[i] = res
 		r2 := m.R2Computed()
 		mt.Tick(res.Scores, r2-prevR2)
 		prevR2 = r2
 	}
-	st.R2Computed = m.R2Computed()
-	st.R2Reused = m.R2Reused()
-	st.KernelScalar = s.ScalarRegions
-	st.KernelBlocked = s.BlockedRegions
-	st.OmegaEvaluated = s.Evaluated
-	return results, st, nil
+	if m != nil {
+		st.R2Computed = m.R2Computed()
+		st.R2Reused = m.R2Reused()
+	}
+	return st, err
 }
 
-// ScanParallel is the snapshot scheduler: it parallelizes the ω
+// addTallies adds the kernel dispatch and evaluation tallies of sc
+// (nil = none) to s.
+func (s *Stats) addTallies(sc *Scratch) {
+	if sc == nil {
+		return
+	}
+	s.KernelScalar += sc.ScalarRegions
+	s.KernelBlocked += sc.BlockedRegions
+	s.OmegaEvaluated += sc.Evaluated
+}
+
+// ScanParallelCtx is the snapshot scheduler: it parallelizes the ω
 // computation (Equation 2) across grid positions in the style of the
 // generic multithreaded OmegaPlus (OmegaPlus-G, discussed in §III): a
 // producer slides the DP matrix through the regions serially (LD and
@@ -147,13 +196,9 @@ func scanRegions(ctx context.Context, comp *ld.Computer, a *seqio.Alignment, reg
 // the snapshots concurrently. OmegaTime is summed across workers.
 //
 // Because the producer is alone, LD throughput does not scale with
-// threads — the bottleneck ScanSharded exists to remove on the
+// threads — the bottleneck ScanShardedCtx exists to remove on the
 // LD-dominated workloads of Fig. 14.
-func ScanParallel(a *seqio.Alignment, p Params, engine ld.Engine, threads int) ([]Result, Stats, error) {
-	return ScanParallelCtx(context.Background(), a, p, engine, threads, nil)
-}
-
-// ScanParallelCtx is ScanParallel with cancellation and live metering.
+//
 // The producer checks ctx before sliding the DP matrix to each region
 // and the workers drop queued snapshots once the context is done, so
 // the call returns ctx.Err() within one region of work; all workers
@@ -223,7 +268,7 @@ func ScanParallelCtx(ctx context.Context, a *seqio.Alignment, p Params, engine l
 			break
 		}
 		st.Grid++
-		if reg.Lo > reg.Hi || reg.K < reg.Lo || reg.K >= reg.Hi {
+		if reg.Skipped() {
 			results[i] = Result{GridIndex: reg.Index, Center: reg.Center}
 			mt.Tick(0, 0)
 			continue
@@ -252,9 +297,7 @@ func ScanParallelCtx(ctx context.Context, a *seqio.Alignment, p Params, engine l
 	for w := 0; w < threads; w++ {
 		st.OmegaTime += time.Duration(omegaNs[w])
 		st.OmegaScores += scores[w]
-		st.KernelScalar += scratches[w].ScalarRegions
-		st.KernelBlocked += scratches[w].BlockedRegions
-		st.OmegaEvaluated += scratches[w].Evaluated
+		st.addTallies(scratches[w])
 	}
 	st.R2Computed = m.R2Computed()
 	st.R2Reused = m.R2Reused()

@@ -39,8 +39,8 @@ func estimateCellWork(regions []Region) []int64 {
 	work := make([]int64, len(regions))
 	pLo, pHi := 0, -1 // empty window
 	for i, reg := range regions {
-		if reg.Lo > reg.Hi || reg.K < reg.Lo || reg.K >= reg.Hi {
-			continue // skipped by the scan: no Advance, no cells
+		if reg.Skipped() {
+			continue // no Advance, no cells
 		}
 		w := reg.Hi - reg.Lo + 1
 		if pHi < pLo || reg.Lo > pHi { // fresh fill (no overlap)
@@ -90,38 +90,29 @@ func partitionRegions(regions []Region, threads int) []shardSpan {
 	return append(spans, shardSpan{Lo: start, Hi: n})
 }
 
-// ScanSharded runs the scan with the sharded scheduler: the grid is
+// ScanShardedCtx runs the scan with the sharded scheduler: the grid is
 // partitioned into contiguous shards balanced by estimated M-cell work
-// (Equation 3 cells, the LD/DP workload of Fig. 14), and every shard's
-// worker owns a private DP matrix it advances independently — both the
+// (Equation 3 cells, the LD/DP workload of Fig. 14), and every shard is
+// one region range (scanRange) with a private DP matrix — both the
 // LD/DP stage and the ω nested loop (Equation 2) run fully in parallel.
 //
-// This removes the serial-producer bottleneck of ScanParallel
+// This removes the serial-producer bottleneck of ScanParallelCtx
 // (OmegaPlus-G style), whose single thread slides the one shared matrix
-// and caps speedup at the producer's LD throughput. The price is a
-// small amount of duplicated r² at shard boundaries: each shard's first
-// window recomputes the overlap triangle a serial matrix would have
-// relocated. Stats.R2Duplicated reports exactly that overhead.
+// and caps speedup at the producer's LD throughput. The price is the
+// boundary triangle each shard recomputes, reported in
+// Stats.R2Duplicated; results stay bit-identical to the serial scan
+// (ARCHITECTURE.md §2.5).
 //
-// Results are bit-identical to the serial Scan for every grid position:
-// DP cells do not depend on the relocation history (each cell is the
-// same recurrence over the same r² values), and ComputeOmega reads the
-// same cells in the same order.
-func ScanSharded(a *seqio.Alignment, p Params, engine ld.Engine, threads int) ([]Result, Stats, error) {
-	return ScanShardedCtx(context.Background(), a, p, engine, threads, nil)
-}
-
-// ScanShardedCtx is ScanSharded with cancellation and live metering:
-// every shard worker checks ctx between regions, so a cancelled or
-// expired context aborts the scan within one region of work per shard
-// and returns ctx.Err(). All shard workers are joined before
-// returning, leaking no goroutines.
+// Every shard checks ctx between regions, so a cancelled or expired
+// context aborts the scan within one region of work per shard and
+// returns ctx.Err(). All shard workers are joined before returning,
+// leaking no goroutines.
 //
 // mt (nil = disabled) receives per-region "ld"/"omega" phase spans on
 // track 2+s from shard s plus one shard-summary span per shard, and
 // one grid-position tick per region — passing a trace.Tracer as the
 // scan's Observer therefore renders each shard on its own Perfetto
-// lane, exactly as the pre-obs ScanShardedTraced entry point did.
+// lane.
 func ScanShardedCtx(ctx context.Context, a *seqio.Alignment, p Params, engine ld.Engine, threads int, mt *obs.Meter) ([]Result, Stats, error) {
 	if threads < 1 {
 		return nil, Stats{}, fmt.Errorf("omega: thread count %d < 1", threads)
@@ -147,7 +138,20 @@ func ScanShardedCtx(ctx context.Context, a *seqio.Alignment, p Params, engine ld
 		wg.Add(1)
 		go func(s int, sp shardSpan) {
 			defer wg.Done()
-			perShard[s] = scanShard(ctx, comp.Clone(), a, regions, sp, p, krn, results, mt, s)
+			// Lanes 0–1 are reserved for top-level phases and the
+			// snapshot producer.
+			lane := 2 + s
+			sc := NewScratch(a, p) // shard-private: scratches are never shared
+			start := time.Now()
+			st, _ := scanRange(ctx, NewDPMatrixScratch(comp.Clone(), sc), sc, krn, p, regions, sp.Lo, sp.Hi, 0, results, mt, lane)
+			st.addTallies(sc)
+			mt.Span(fmt.Sprintf("shard %d", s), lane, start, time.Since(start), false, map[string]any{
+				"regions":       sp.Hi - sp.Lo,
+				"r2_computed":   st.R2Computed,
+				"r2_reused":     st.R2Reused,
+				"r2_duplicated": st.R2Duplicated,
+			})
+			perShard[s] = st
 		}(s, sp)
 	}
 	wg.Wait()
@@ -159,74 +163,4 @@ func ScanShardedCtx(ctx context.Context, a *seqio.Alignment, p Params, engine ld
 		st.Add(s)
 	}
 	return results, st, nil
-}
-
-// scanShard evaluates one shard with a private DP matrix, writing
-// results into their global slots. track selects the shard's span
-// lane (offset by 2; lanes 0–1 are reserved for top-level phases and
-// the snapshot producer).
-func scanShard(ctx context.Context, comp *ld.Computer, a *seqio.Alignment, regions []Region, sp shardSpan, p Params, krn Kernel, out []Result, mt *obs.Meter, track int) Stats {
-	var st Stats
-	sc := NewScratch(a, p) // shard-private: scratches are never shared
-	m := NewDPMatrixScratch(comp, sc)
-	lane := track + 2
-	shardStart := time.Now()
-
-	// Serial-predecessor window: the last region before the shard that
-	// would have advanced a serial matrix. Its overlap with the shard's
-	// first window is the duplicated boundary triangle.
-	prevHi := -1
-	for i := sp.Lo - 1; i >= 0; i-- {
-		r := regions[i]
-		if r.Lo <= r.Hi && r.K >= r.Lo && r.K < r.Hi {
-			prevHi = r.Hi
-			break
-		}
-	}
-	first := true
-	var prevR2 int64
-	for i := sp.Lo; i < sp.Hi; i++ {
-		if ctx.Err() != nil {
-			break // the scan is aborting; the caller reports ctx.Err()
-		}
-		reg := regions[i]
-		st.Grid++
-		if reg.Lo > reg.Hi || reg.K < reg.Lo || reg.K >= reg.Hi {
-			out[i] = Result{GridIndex: reg.Index, Center: reg.Center}
-			mt.Tick(0, 0)
-			continue
-		}
-		if first {
-			st.R2Duplicated = triangleCells(prevHi - reg.Lo + 1)
-			first = false
-		}
-		t0 := time.Now()
-		m.Advance(reg.Lo, reg.Hi)
-		dLD := time.Since(t0)
-		st.LDTime += dLD
-		mt.Span(obs.PhaseLD, lane, t0, dLD, false, nil)
-
-		t1 := time.Now()
-		res := krn.Evaluate(sc, m, reg, p)
-		dOmega := time.Since(t1)
-		st.OmegaTime += dOmega
-		mt.Span(obs.PhaseOmega, lane, t1, dOmega, false, nil)
-		st.OmegaScores += res.Scores
-		out[i] = res
-		r2 := m.R2Computed()
-		mt.Tick(res.Scores, r2-prevR2)
-		prevR2 = r2
-	}
-	st.R2Computed = m.R2Computed()
-	st.R2Reused = m.R2Reused()
-	st.KernelScalar = sc.ScalarRegions
-	st.KernelBlocked = sc.BlockedRegions
-	st.OmegaEvaluated = sc.Evaluated
-	mt.Span(fmt.Sprintf("shard %d", track), lane, shardStart, time.Since(shardStart), false, map[string]any{
-		"regions":       sp.Hi - sp.Lo,
-		"r2_computed":   st.R2Computed,
-		"r2_reused":     st.R2Reused,
-		"r2_duplicated": st.R2Duplicated,
-	})
-	return st
 }

@@ -83,12 +83,12 @@ func TestScanShardedMatchesSerial(t *testing.T) {
 	a, _ := reps[0].ToAlignment(80000)
 	for _, gridSize := range []int{2, 5, 16} {
 		p := Params{GridSize: gridSize, MaxWindow: 12000}
-		serial, stS, err := Scan(a, p, ld.Direct, 1)
+		serial, stS, err := ScanCtx(context.Background(), a, p, ld.Direct)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, threads := range []int{1, 2, 3, 8} {
-			sharded, stP, err := ScanSharded(a, p, ld.Direct, threads)
+			sharded, stP, err := ScanShardedCtx(context.Background(), a, p, ld.Direct, threads, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,11 +117,11 @@ func TestScanShardedGEMMEngine(t *testing.T) {
 	}
 	a, _ := reps[0].ToAlignment(60000)
 	p := Params{GridSize: 12, MaxWindow: 10000}
-	serial, _, err := Scan(a, p, ld.GEMM, 1)
+	serial, _, err := ScanCtx(context.Background(), a, p, ld.GEMM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, _, err := ScanSharded(a, p, ld.GEMM, 4)
+	sharded, _, err := ScanShardedCtx(context.Background(), a, p, ld.GEMM, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestScanShardedDuplicationAccounting(t *testing.T) {
 	}
 	a, _ := reps[0].ToAlignment(100000)
 	p := Params{GridSize: 24, MaxWindow: 15000}
-	_, stS, err := Scan(a, p, ld.Direct, 1)
+	_, stS, err := ScanCtx(context.Background(), a, p, ld.Direct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestScanShardedDuplicationAccounting(t *testing.T) {
 		t.Fatalf("serial scan reported %d duplicated cells", stS.R2Duplicated)
 	}
 	for _, threads := range []int{2, 4, 6} {
-		_, stP, err := ScanSharded(a, p, ld.Direct, threads)
+		_, stP, err := ScanShardedCtx(context.Background(), a, p, ld.Direct, threads, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestScanShardedDuplicationAccounting(t *testing.T) {
 func TestScanShardedBadThreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	a := randomAlignment(rng, 10, 8, 1000)
-	if _, _, err := ScanSharded(a, Params{GridSize: 2}, ld.Direct, 0); err == nil {
+	if _, _, err := ScanShardedCtx(context.Background(), a, Params{GridSize: 2}, ld.Direct, 0, nil); err == nil {
 		t.Error("0 threads should error")
 	}
 }

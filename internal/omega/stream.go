@@ -58,18 +58,12 @@ type chunkSpan struct {
 	snpLo, snpHi int
 }
 
-// regionSkipped is the scan loops' shared emptiness test: such regions
-// produce a zero Result without touching the DP matrix.
-func regionSkipped(reg Region) bool {
-	return reg.Lo > reg.Hi || reg.K < reg.Lo || reg.K >= reg.Hi
-}
-
 // maxRegionSpan returns the widest region's SNP count — the minimum
 // chunk size that can hold any single region.
 func maxRegionSpan(regions []Region) int {
 	span := 0
 	for _, reg := range regions {
-		if regionSkipped(reg) {
+		if reg.Skipped() {
 			continue
 		}
 		if w := reg.Hi - reg.Lo + 1; w > span {
@@ -91,7 +85,7 @@ func planChunks(regions []Region, chunkSNPs int) []chunkSpan {
 	start := 0
 	curLo, curHi := -1, -1
 	for i, reg := range regions {
-		if regionSkipped(reg) {
+		if reg.Skipped() {
 			continue
 		}
 		if curLo < 0 {
@@ -134,14 +128,10 @@ type loadedChunk struct {
 // Beyer & Bientinesi applied to the paper's Fig. 3 workflow. Only the
 // live chunk's rows and DP band are resident.
 //
-// Results are bit-identical to the in-memory Scan on the same data, for
-// the same reason ScanSharded's are: DP cells do not depend on the
-// relocation history (each cell is the same Equation 3 recurrence over
-// the same Equation 1 r² values), so starting a fresh DP matrix at a
-// chunk boundary reproduces the serial cells exactly, and the kernels
-// read them in the same order. The boundary overlap each chunk
-// recomputes is reported in Stats.R2Duplicated, mirroring the sharded
-// scheduler's accounting.
+// Each chunk is one region range (scanRange) with a fresh DP matrix
+// over the chunk's rows, so results are bit-identical to the in-memory
+// ScanCtx on the same data and the boundary overlap each chunk
+// recomputes is reported in Stats.R2Duplicated (ARCHITECTURE.md §2.5).
 //
 // The scan is serial over regions (chunks arrive in order; parallelism
 // comes from overlapping I/O with compute and from ldWorkers inside the
@@ -210,8 +200,6 @@ func ScanStream(ctx context.Context, src seqio.ChunkSource, p Params, engine ld.
 	var st Stats
 	var sst StreamStats
 	var sc *Scratch // shared across chunks; re-pointed at each chunk's positions
-	prevHi := -1    // Hi of the last non-empty region scanned (global)
-	var prevR2 int64
 	for {
 		tw := time.Now()
 		l, ok := <-ch
@@ -228,79 +216,28 @@ func ScanStream(ctx context.Context, src seqio.ChunkSource, p Params, engine ld.
 		sst.LoadTime += l.dur
 		mt.Span(obs.PhaseStreamLoad, 1, tw.Add(-l.dur), l.dur, false, nil)
 
+		// A chunk has rows exactly when it holds a scored region (see
+		// planChunks); the chunk alignment's row r is global row snpLo+r
+		// and its Positions slice is the global table offset by snpLo,
+		// so positions stay globally correct.
 		var m *DPMatrix
-		firstInChunk := true
-		for i := l.span.regLo; i < l.span.regHi; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, st, sst, err
+		if l.a != nil {
+			if sc == nil {
+				sc = NewScratch(l.a, p)
+			} else {
+				sc.pos = l.a.Positions
 			}
-			reg := regions[i]
-			st.Grid++
-			if regionSkipped(reg) {
-				results[i] = Result{GridIndex: reg.Index, Center: reg.Center}
-				mt.Tick(0, 0)
-				continue
-			}
-			if m == nil {
-				// First non-empty region of the chunk: bring up the
-				// chunk-local LD computer and DP matrix.
-				if sc == nil {
-					sc = NewScratch(l.a, p)
-				} else {
-					sc.pos = l.a.Positions
-				}
-				m = NewDPMatrixScratch(ld.NewComputer(l.a, engine, ldWorkers), sc)
-			}
-			if firstInChunk {
-				// Boundary triangle a serial matrix would have relocated
-				// instead of recomputing — same accounting as scanShard.
-				st.R2Duplicated += triangleCells(prevHi - reg.Lo + 1)
-				firstInChunk = false
-			}
-			// Shift to chunk-local SNP indices: the chunk alignment's row r
-			// is global row snpLo+r, and its Positions slice is the global
-			// table offset by snpLo, so positions stay globally correct.
-			local := reg
-			local.Lo -= l.span.snpLo
-			local.Hi -= l.span.snpLo
-			local.K -= l.span.snpLo
-
-			t0 := time.Now()
-			m.Advance(local.Lo, local.Hi)
-			dLD := time.Since(t0)
-			st.LDTime += dLD
-			mt.Span(obs.PhaseLD, 0, t0, dLD, false, nil)
-
-			t1 := time.Now()
-			res := krn.Evaluate(sc, m, local, p)
-			dOmega := time.Since(t1)
-			st.OmegaTime += dOmega
-			mt.Span(obs.PhaseOmega, 0, t1, dOmega, false, nil)
-			if res.Valid {
-				// Border indices come out chunk-local; positions are
-				// already global (see the shift note above).
-				res.LeftBorder += l.span.snpLo
-				res.RightBorder += l.span.snpLo
-			}
-			st.OmegaScores += res.Scores
-			results[i] = res
-			prevHi = reg.Hi
-			r2 := st.R2Computed + m.R2Computed()
-			mt.Tick(res.Scores, r2-prevR2)
-			prevR2 = r2
+			m = NewDPMatrixScratch(ld.NewComputer(l.a, engine, ldWorkers), sc)
 		}
-		if m != nil {
-			st.R2Computed += m.R2Computed()
-			st.R2Reused += m.R2Reused()
+		cst, err := scanRange(ctx, m, sc, krn, p, regions, l.span.regLo, l.span.regHi, l.span.snpLo, results, mt, 0)
+		st.Add(cst)
+		if err != nil {
+			return nil, st, sst, err
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, st, sst, err
 	}
-	if sc != nil {
-		st.KernelScalar = sc.ScalarRegions
-		st.KernelBlocked = sc.BlockedRegions
-		st.OmegaEvaluated = sc.Evaluated
-	}
+	st.addTallies(sc)
 	return results, st, sst, nil
 }

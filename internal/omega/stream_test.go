@@ -58,7 +58,7 @@ func TestPlanChunksInvariants(t *testing.T) {
 				nonEmpty := false
 				for r := c.regLo; r < c.regHi; r++ {
 					reg := regions[r]
-					if regionSkipped(reg) {
+					if reg.Skipped() {
 						continue
 					}
 					nonEmpty = true
@@ -86,7 +86,7 @@ func TestScanStreamMatchesSerial(t *testing.T) {
 	for _, engine := range []ld.Engine{ld.Direct, ld.GEMM} {
 		for _, gridSize := range []int{3, 16, 48} {
 			p := Params{GridSize: gridSize, MaxWindow: 15000}
-			serial, stS, err := Scan(a, p, engine, 1)
+			serial, stS, err := ScanCtx(context.Background(), a, p, engine)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +147,7 @@ func TestScanStreamLDWorkersMatchSerial(t *testing.T) {
 	}
 	widest := maxRegionSpan(regions)
 	for _, engine := range []ld.Engine{ld.Direct, ld.GEMM} {
-		serial, stS, err := Scan(a, p, engine, 1)
+		serial, stS, err := ScanCtx(context.Background(), a, p, engine)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestScanStreamSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Params{GridSize: 20, MaxWindow: 10000}
-	serial, _, err := Scan(a, p, ld.Direct, 1)
+	serial, _, err := ScanCtx(context.Background(), a, p, ld.Direct)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package power
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -111,7 +112,7 @@ func (s Study) Statistics(cfg mssim.Config, stat Statistic) ([]float64, error) {
 		}
 		switch stat {
 		case MaxOmega:
-			results, _, err := omega.Scan(a, s.Params, ld.Direct, 1)
+			results, _, err := omega.ScanCtx(context.Background(), a, s.Params, ld.Direct)
 			if err != nil {
 				return nil, err
 			}
@@ -268,7 +269,7 @@ func (s Study) Localization(stat Statistic) (meanBP, medianBP float64, err error
 func (s Study) argmax(a *seqio.Alignment, stat Statistic) (float64, bool, error) {
 	switch stat {
 	case MaxOmega:
-		results, _, err := omega.Scan(a, s.Params, ld.Direct, 1)
+		results, _, err := omega.ScanCtx(context.Background(), a, s.Params, ld.Direct)
 		if err != nil {
 			return 0, false, err
 		}

@@ -22,7 +22,7 @@ type Span struct {
 	Duration time.Duration
 	// Track is the logical thread lane the span renders on in the trace
 	// viewer (Chrome "tid"). Zero means the default lane. Concurrent
-	// workers — e.g. the shards of omega.ScanSharded — should use
+	// workers — e.g. the shards of omega.ScanShardedCtx — should use
 	// distinct tracks so their LD/ω overlap is visible in Perfetto.
 	Track int
 	// Args carries free-form metadata shown in the trace viewer.

@@ -1,6 +1,7 @@
 package omegago_test
 
 import (
+	"context"
 	"testing"
 
 	"omegago/internal/fpga"
@@ -98,7 +99,7 @@ func TestGoldenModeledScanSeconds(t *testing.T) {
 		}
 	}
 
-	grep, err := gpu.Scan(gpu.RadeonHD8750M, gpu.Dynamic, a, p, gpu.Options{})
+	grep, err := gpu.ScanCtx(context.Background(), gpu.RadeonHD8750M, gpu.Dynamic, a, p, gpu.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestGoldenModeledScanSeconds(t *testing.T) {
 	check("HD8750M OmegaSeconds", grep.OmegaSeconds(), 0.0019265110497842467)
 	check("HD8750M TotalSeconds", grep.TotalSeconds(), 0.012376077219383464)
 
-	grep, err = gpu.Scan(gpu.TeslaK80, gpu.Dynamic, a, p, gpu.Options{})
+	grep, err = gpu.ScanCtx(context.Background(), gpu.TeslaK80, gpu.Dynamic, a, p, gpu.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,14 +121,14 @@ func TestGoldenModeledScanSeconds(t *testing.T) {
 	check("K80 OmegaSeconds", grep.OmegaSeconds(), 0.0015930358857142858)
 	check("K80 TotalSeconds", grep.TotalSeconds(), 0.003139194613286713)
 
-	grep, err = gpu.Scan(gpu.TeslaK80, gpu.Dynamic, a, p, gpu.Options{OverlapTransfers: true})
+	grep, err = gpu.ScanCtx(context.Background(), gpu.TeslaK80, gpu.Dynamic, a, p, gpu.Options{OverlapTransfers: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("K80 overlap OmegaTransferSeconds", grep.OmegaTransferSeconds, 0.0001402505142857143)
 	check("K80 overlap TotalSeconds", grep.TotalSeconds(), 0.0031291923275724273)
 
-	frep, err := fpga.Scan(fpga.ZCU102, a, p, fpga.Options{})
+	frep, err := fpga.ScanCtx(context.Background(), fpga.ZCU102, a, p, fpga.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestGoldenModeledScanSeconds(t *testing.T) {
 	check("ZCU102 OmegaSeconds", frep.OmegaSeconds(), 0.0008849514285714286)
 	check("ZCU102 TotalSeconds", frep.TotalSeconds(), 0.0016839514285714287)
 
-	frep, err = fpga.Scan(fpga.AlveoU200, a, p, fpga.Options{})
+	frep, err = fpga.ScanCtx(context.Background(), fpga.AlveoU200, a, p, fpga.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package omegago_test
 
 import (
+	"context"
 	"testing"
 
 	"omegago"
@@ -11,8 +12,8 @@ import (
 )
 
 // TestGoldenSchedulerEquivalence asserts the scheduler contract on the
-// repository's golden datasets: Scan (serial), ScanParallel (snapshot
-// scheduler) and ScanSharded (per-shard DP matrices) must return
+// repository's golden datasets: ScanCtx (serial), ScanParallelCtx (snapshot
+// scheduler) and ScanShardedCtx (per-shard DP matrices) must return
 // identical []Result — ω values, borders, positions, validity and score
 // counts, compared with struct equality, i.e. bitwise for the floats —
 // at thread counts {1, 2, 3, 8}, including grids smaller than the
@@ -43,16 +44,16 @@ func TestGoldenSchedulerEquivalence(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			serial, _, err := omega.Scan(tc.a, tc.p, ld.Direct, 1)
+			serial, _, err := omega.ScanCtx(context.Background(), tc.a, tc.p, ld.Direct)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, threads := range threadCounts {
-				snapshot, _, err := omega.ScanParallel(tc.a, tc.p, ld.Direct, threads)
+				snapshot, _, err := omega.ScanParallelCtx(context.Background(), tc.a, tc.p, ld.Direct, threads, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sharded, _, err := omega.ScanSharded(tc.a, tc.p, ld.Direct, threads)
+				sharded, _, err := omega.ScanShardedCtx(context.Background(), tc.a, tc.p, ld.Direct, threads, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

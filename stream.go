@@ -135,17 +135,6 @@ func ScanStreamContext(ctx context.Context, src ChunkSource, cfg Config) (*Repor
 	if err != nil {
 		return nil, err
 	}
-	st := out.Stats
-	st.Publish(cfg.Metrics)
-	return &Report{
-		Results: out.Results, Backend: cfg.Backend,
-		OmegaScores: st.OmegaScores, OmegaEvaluated: st.OmegaEvaluated,
-		R2Computed: st.R2Computed, R2Reused: st.R2Reused, R2Duplicated: st.R2Duplicated,
-		LDSeconds: st.LDSeconds, OmegaSeconds: st.OmegaSeconds,
-		WallSeconds:       time.Since(t0).Seconds(),
-		OmegaKernelScalar: st.OmegaKernelScalar, OmegaKernelBlocked: st.OmegaKernelBlocked,
-		StreamChunks: st.StreamChunks, StreamBytesRead: st.StreamBytesRead,
-		StreamCompressedSNPs: st.StreamCompressedSNPs,
-		StreamLoadSeconds:    st.StreamLoadSeconds, StreamStallSeconds: st.StreamStallSeconds,
-	}, nil
+	out.Stats.Publish(cfg.Metrics)
+	return newReport(out, cfg.Backend, t0), nil
 }

@@ -65,11 +65,11 @@ const (
 	// and SchedSnapshot otherwise. The default.
 	SchedAuto Scheduler = iota
 	// SchedSnapshot is the OmegaPlus-G style producer/consumer pipeline
-	// (omega.ScanParallel): one producer slides a single DP matrix and
+	// (omega.ScanParallelCtx): one producer slides a single DP matrix and
 	// workers score immutable snapshots. LD remains serial.
 	SchedSnapshot
 	// SchedSharded partitions the grid into contiguous shards with a
-	// private DP matrix each (omega.ScanSharded): LD and ω both run in
+	// private DP matrix each (omega.ScanShardedCtx): LD and ω both run in
 	// parallel, at the cost of duplicated r² at shard boundaries
 	// (reported as Report.R2Duplicated).
 	SchedSharded
@@ -265,8 +265,10 @@ type Report struct {
 	OmegaEvaluated int64
 	R2Computed     int64
 	R2Reused       int64
-	// R2Duplicated counts r² values recomputed at shard boundaries by
-	// the sharded scheduler (a subset of R2Computed); zero otherwise.
+	// R2Duplicated counts r² values recomputed at region-range
+	// boundaries (a subset of R2Computed): at shard boundaries by the
+	// sharded scheduler and at chunk boundaries by ScanStream; zero for
+	// serial and snapshot scans and on accelerator backends.
 	R2Duplicated int64
 	// LDSeconds / OmegaSeconds split the runtime between the two phases.
 	// For the CPU backend these are measured; for accelerator backends
@@ -408,10 +410,16 @@ func scanResolved(ctx context.Context, ds *Dataset, cfg Config, p omega.Params, 
 	if err != nil {
 		return nil, err
 	}
+	out.Stats.Publish(cfg.Metrics)
+	return newReport(out, cfg.Backend, t0), nil
+}
+
+// newReport builds the Report of a finished backend run that started at
+// t0.
+func newReport(out *exec.Output, backend Backend, t0 time.Time) *Report {
 	st := out.Stats
-	st.Publish(cfg.Metrics)
 	return &Report{
-		Results: out.Results, Backend: cfg.Backend,
+		Results: out.Results, Backend: backend,
 		OmegaScores: st.OmegaScores, OmegaEvaluated: st.OmegaEvaluated,
 		R2Computed: st.R2Computed, R2Reused: st.R2Reused, R2Duplicated: st.R2Duplicated,
 		LDSeconds: st.LDSeconds, OmegaSeconds: st.OmegaSeconds,
@@ -422,7 +430,7 @@ func scanResolved(ctx context.Context, ds *Dataset, cfg Config, p omega.Params, 
 		StreamCompressedSNPs: st.StreamCompressedSNPs,
 		StreamLoadSeconds:    st.StreamLoadSeconds, StreamStallSeconds: st.StreamStallSeconds,
 		ModelVersion: st.ModelVersion, CalibrationID: st.CalibrationID,
-	}, nil
+	}
 }
 
 // Simulate generates a dataset with the built-in coalescent simulator,
