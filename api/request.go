@@ -32,7 +32,8 @@ type ScanParams struct {
 	// KernelNthr overrides the auto-dispatch workload threshold in
 	// border combinations per region (0 = built-in default).
 	KernelNthr int `json:"kernel_nthr,omitempty"`
-	// Threads parallelizes the CPU backend (0 = 1).
+	// Threads parallelizes the CPU backend (0 = 1). A batch job splits
+	// it across its concurrent replicate scans.
 	Threads int `json:"threads,omitempty"`
 	// UseGEMMLD batches CPU LD through the blocked bit-matrix GEMM.
 	UseGEMMLD bool `json:"gemm_ld,omitempty"`

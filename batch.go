@@ -134,6 +134,13 @@ func (c Config) batchWorkers(n int) int {
 // configuration is checked by Config.Validate exactly once for the
 // whole batch.
 //
+// Config.Threads is the whole batch's thread budget, not each
+// replicate's: every replicate scans with max(1, Threads/workers)
+// threads, where workers is the resolved pool size. Parallelism goes
+// across independent replicates first, so a one-replicate batch keeps
+// the whole budget and a full pool of serial scans pays no
+// shard-boundary r².
+//
 // Error isolation is per replicate: a dataset that fails to scan
 // records its error in its BatchResult and the rest of the batch
 // proceeds. Nil datasets are skipped (LoadMSAll yields nil for
@@ -174,6 +181,10 @@ func ScanBatch(ctx context.Context, batch []*Dataset, cfg Config) (*BatchReport,
 	t0 := time.Now()
 	rep := &BatchReport{Replicates: make([]BatchResult, len(batch))}
 	workers := cfg.batchWorkers(len(batch))
+	// One CPU budget: the workers split Threads instead of each
+	// replicate claiming all of it on top of the pool.
+	rcfg := cfg
+	rcfg.Threads = max(1, cfg.Threads/workers)
 
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -188,7 +199,7 @@ func ScanBatch(ctx context.Context, batch []*Dataset, cfg Config) (*BatchReport,
 					continue
 				}
 				rt0 := time.Now()
-				r, err := scanResolved(ctx, ds, cfg, p, be, bm.Replicate(i))
+				r, err := scanResolved(ctx, ds, rcfg, p, be, bm.Replicate(i))
 				rep.Replicates[i] = BatchResult{
 					Index: i, Report: r, Err: err,
 					Seconds: time.Since(rt0).Seconds(),

@@ -3,6 +3,7 @@ package omegago_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"omegago"
@@ -160,4 +161,68 @@ func TestScanBatchAccelerator(t *testing.T) {
 			t.Errorf("replicate %d: gpu-sim batch ω %v, cpu reference %v", i, gb.MaxOmega, wb.MaxOmega)
 		}
 	}
+}
+
+// TestScanBatchSplitsThreadBudget pins the one thread budget: a batch
+// of Threads 4 over 2 workers scans each replicate with 2 threads, so
+// under the forced sharded scheduler every replicate duplicates exactly
+// the r² of a standalone 2-thread sharded scan, and still returns the
+// serial results. A one-replicate batch keeps the whole budget.
+func TestScanBatchSplitsThreadBudget(t *testing.T) {
+	batch := batchDatasets(t, 4, 2024)
+	base := omegago.Config{GridSize: 16, MaxWindow: 30000, Sched: omegago.SchedSharded}
+	scan := func(ds *omegago.Dataset, threads int) *omegago.Report {
+		t.Helper()
+		cfg := base
+		cfg.Threads = threads
+		r, err := omegago.Scan(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	sameResults := func(name string, got, want *omegago.Report) {
+		t.Helper()
+		if len(got.Results) != len(want.Results) {
+			t.Fatalf("%s: %d results, want %d", name, len(got.Results), len(want.Results))
+		}
+		for i := range want.Results {
+			if got.Results[i] != want.Results[i] {
+				t.Fatalf("%s: result[%d] = %+v, want %+v", name, i, got.Results[i], want.Results[i])
+			}
+		}
+	}
+
+	cfg := base
+	cfg.Threads, cfg.BatchWorkers = 4, 2
+	rep, err := omegago.ScanBatch(context.Background(), batch, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := false // some replicate duplicates differently at 2 and 4 threads
+	for i, item := range rep.Replicates {
+		if item.Err != nil || item.Report == nil {
+			t.Fatalf("replicate %d: %+v", i, item)
+		}
+		two := scan(batch[i], 2)
+		if got := item.Report.R2Duplicated; got != two.R2Duplicated {
+			t.Errorf("replicate %d: R2Duplicated %d, want the 2-thread scan's %d", i, got, two.R2Duplicated)
+		}
+		split = split || two.R2Duplicated != scan(batch[i], 4).R2Duplicated
+		sameResults(fmt.Sprintf("replicate %d", i), item.Report, scan(batch[i], 1))
+	}
+	if !split {
+		t.Fatal("no replicate tells 2 threads from 4 by its duplicated r²")
+	}
+
+	cfg.Threads, cfg.BatchWorkers = 2, 0
+	one, err := omegago.ScanBatch(context.Background(), batch[:1], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two := scan(batch[0], 2)
+	if got := one.Replicates[0].Report; got.R2Duplicated != two.R2Duplicated || got.R2Duplicated == 0 {
+		t.Errorf("one-replicate batch: R2Duplicated %d, want the 2-thread scan's %d (> 0)", got.R2Duplicated, two.R2Duplicated)
+	}
+	sameResults("one-replicate batch", one.Replicates[0].Report, two)
 }

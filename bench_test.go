@@ -11,6 +11,7 @@ package omegago_test
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -262,6 +263,10 @@ func BenchmarkScanSharded(b *testing.B) {
 // and worker-pool sizes: the multi-dataset throughput path that serving
 // many concurrent studies rides on. On multicore hosts the worker pool
 // overlaps whole replicate scans; on one core it measures pool overhead.
+// The threads=GOMAXPROCS variants hand the batch a whole-host thread
+// budget, which ScanBatch splits across the workers; dup% is the share
+// of computed r² duplicated at shard boundaries, 0 once each worker
+// scans serially.
 func BenchmarkScanBatch(b *testing.B) {
 	for _, replicates := range []int{4, 16} {
 		reps, err := mssim.Simulate(mssim.Config{
@@ -277,24 +282,33 @@ func BenchmarkScanBatch(b *testing.B) {
 			}
 		}
 		for _, workers := range []int{1, 4, 8} {
-			b.Run(benchBatchName(replicates, workers), func(b *testing.B) {
-				cfg := omegago.Config{GridSize: 25, MaxWindow: 40000, BatchWorkers: workers}
-				var scores int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rep, err := omegago.ScanBatch(context.Background(), batch, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if rep.Failed > 0 {
-						b.Fatalf("%d replicates failed", rep.Failed)
-					}
-					scores = rep.OmegaScores
+			for _, threads := range []int{1, runtime.GOMAXPROCS(0)} {
+				name := benchBatchName(replicates, workers)
+				if threads > 1 {
+					name += "/threads=GOMAXPROCS"
 				}
-				perOp := b.Elapsed().Seconds() / float64(b.N)
-				b.ReportMetric(float64(replicates)/perOp, "replicates/s")
-				b.ReportMetric(float64(scores)/perOp/1e6, "Momega/s")
-			})
+				b.Run(name, func(b *testing.B) {
+					cfg := omegago.Config{GridSize: 25, MaxWindow: 40000, BatchWorkers: workers, Threads: threads}
+					var last *omegago.BatchReport
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						rep, err := omegago.ScanBatch(context.Background(), batch, cfg)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if rep.Failed > 0 {
+							b.Fatalf("%d replicates failed", rep.Failed)
+						}
+						last = rep
+					}
+					perOp := b.Elapsed().Seconds() / float64(b.N)
+					b.ReportMetric(float64(replicates)/perOp, "replicates/s")
+					b.ReportMetric(float64(last.OmegaScores)/perOp/1e6, "Momega/s")
+					if threads > 1 && last.R2Computed > 0 {
+						b.ReportMetric(100*float64(last.R2Duplicated)/float64(last.R2Computed), "dup%")
+					}
+				})
+			}
 		}
 	}
 }

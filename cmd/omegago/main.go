@@ -22,8 +22,10 @@
 // Multithreaded CPU scans pick a scheduler with -sched: "snapshot"
 // (one producer slides the DP matrix, workers score snapshots),
 // "sharded" (per-shard DP matrices, LD and ω both parallel), or
-// "auto" (sharded once the grid has ≥ 4 regions per thread). Results
-// are identical across schedulers; see docs/ARCHITECTURE.md.
+// "auto" (sharded once the grid has ≥ 4 regions per thread and the
+// predicted shard-boundary r² is at most a quarter of the sharded
+// scan's r², snapshot otherwise). Results are identical across
+// schedulers; see docs/ARCHITECTURE.md.
 //
 // Backends: cpu (default), gpu (simulated Tesla K80 / Radeon HD8750M),
 // fpga (simulated Alveo U200 / ZCU102). Accelerator backends print the
@@ -76,7 +78,7 @@ func main() {
 		grid        = flag.Int("grid", 100, "number of ω positions")
 		minwin      = flag.Float64("minwin", 0, "minimum window span in bp")
 		maxwin      = flag.Float64("maxwin", 0, "maximum border distance from the ω position in bp (0 = unbounded)")
-		threads     = flag.Int("threads", 1, "CPU threads (cpu backend)")
+		threads     = flag.Int("threads", 1, "CPU threads (cpu backend; with -all-replicates, the whole batch's budget)")
 		sched       = flag.String("sched", "auto", "CPU multithreading scheduler: snapshot, sharded, auto")
 		omegaKernel = flag.String("omega-kernel", "auto", "CPU ω kernel: scalar, blocked, auto (per-region dispatch)")
 		kernelNthr  = flag.Int("kernel-nthr", 0, "auto ω-kernel dispatch threshold in border combinations per region (0 = built-in default)")

@@ -17,12 +17,14 @@ type cpuBackend struct{}
 
 func (cpuBackend) Name() string { return "cpu" }
 
-// UseSharded resolves a Scheduler to a concrete strategy for a grid and
-// thread count. Auto picks sharded once the grid holds at least four
-// regions per worker — enough regions per shard that the boundary
-// triangle each shard recomputes is amortized by the relocation reuse
-// inside the shard.
-func UseSharded(s Scheduler, gridSize, threads int) bool {
+// UseSharded resolves a Scheduler to a concrete strategy for the grid
+// regions of a scan and its thread count. Auto picks sharded only when
+// the grid holds at least four regions per worker and the r² the shards
+// would recompute at their boundaries is at most a quarter of all r²
+// the sharded scan computes (omega.PreferSharded, an exact prediction).
+// Otherwise the snapshot scheduler's one sliding matrix wins: a wide
+// window makes every shard rebuild most of the DP band.
+func UseSharded(s Scheduler, regions []omega.Region, threads int) bool {
 	if threads <= 1 {
 		return false
 	}
@@ -32,7 +34,7 @@ func UseSharded(s Scheduler, gridSize, threads int) bool {
 	case SchedSnapshot:
 		return false
 	default:
-		return gridSize >= 4*threads
+		return len(regions) >= 4*threads && omega.PreferSharded(regions, threads)
 	}
 }
 
@@ -66,9 +68,12 @@ func (cpuBackend) Scan(ctx context.Context, a *seqio.Alignment, p omega.Params, 
 	var (
 		results []omega.Result
 		st      omega.Stats
-		err     error
 	)
-	if UseSharded(opts.Sched, p.GridSize, threads) {
+	regions, err := omega.BuildRegions(a, p)
+	if err != nil {
+		return nil, err
+	}
+	if UseSharded(opts.Sched, regions, threads) {
 		results, st, err = omega.ScanShardedCtx(ctx, a, p, engine, threads, opts.Meter)
 	} else {
 		results, st, err = omega.ScanParallelCtx(ctx, a, p, engine, threads, opts.Meter)

@@ -36,9 +36,10 @@ import (
 type Scheduler int
 
 const (
-	// SchedAuto picks SchedSharded when the grid is large enough to
-	// amortize the per-shard boundary recomputation (grid ≥ 4·threads),
-	// and SchedSnapshot otherwise.
+	// SchedAuto picks SchedSharded when the grid holds at least four
+	// regions per thread and the predicted shard-boundary r² is at most
+	// a quarter of the sharded scan's r² (UseSharded), and SchedSnapshot
+	// otherwise.
 	SchedAuto Scheduler = iota
 	// SchedSnapshot is the OmegaPlus-G style producer/consumer pipeline
 	// (omega.ScanParallelCtx).

@@ -101,26 +101,43 @@ func TestBackendCancellation(t *testing.T) {
 	}
 }
 
-// TestCPUSchedulerSelection pins the auto-scheduler threshold the CPU
-// adapter applies (sharded at grid ≥ 4·threads).
+// TestCPUSchedulerSelection pins the auto-scheduler rule the CPU
+// adapter applies: sharded needs grid ≥ 4·threads and a predicted
+// shard-boundary r² of at most a quarter of the sharded scan's r²
+// (omega.PreferSharded); the explicit schedulers ignore both tests.
 func TestCPUSchedulerSelection(t *testing.T) {
+	a, err := harness.Dataset(400, 32, 314159)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const narrow = 5000 // bp per side: shards barely overlap
 	cases := []struct {
 		sched   Scheduler
 		grid    int
+		maxWin  float64 // 0 = unbounded
 		threads int
 		want    bool
 	}{
-		{SchedAuto, 16, 4, true},
-		{SchedAuto, 15, 4, false},
-		{SchedAuto, 100, 1, false},
-		{SchedSharded, 2, 8, true},
-		{SchedSharded, 100, 1, false},
-		{SchedSnapshot, 100, 8, false},
+		{SchedAuto, 16, narrow, 4, true},
+		{SchedAuto, 15, narrow, 4, false},
+		{SchedAuto, 100, narrow, 1, false},
+		{SchedSharded, 2, narrow, 8, true},
+		{SchedSharded, 100, narrow, 1, false},
+		{SchedSnapshot, 100, narrow, 8, false},
+		// Grid ≥ 4·threads, but an unbounded window makes every shard
+		// rebuild nearly the whole DP band: snapshot.
+		{SchedAuto, 64, 0, 2, false},
+		// The same grid with a bounded window shares little: sharded.
+		{SchedAuto, 64, 20000, 2, true},
 	}
 	for _, c := range cases {
-		if got := UseSharded(c.sched, c.grid, c.threads); got != c.want {
-			t.Errorf("UseSharded(%v, grid=%d, threads=%d) = %v, want %v",
-				c.sched, c.grid, c.threads, got, c.want)
+		regions, err := omega.BuildRegions(a, omega.Params{GridSize: c.grid, MaxWindow: c.maxWin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := UseSharded(c.sched, regions, c.threads); got != c.want {
+			t.Errorf("UseSharded(%v, grid=%d, maxwin=%g, threads=%d) = %v, want %v",
+				c.sched, c.grid, c.maxWin, c.threads, got, c.want)
 		}
 	}
 }

@@ -142,6 +142,8 @@ func FuzzBlockedKernelMatchesScalar(f *testing.F) {
 // return the serial scan's results and score counts exactly, and their
 // extra r² must be exactly the boundary triangles they report as
 // duplicated (none for the snapshot scheduler, which slides one matrix).
+// The pre-scan prediction the auto scheduler decides from must match
+// the serial r² and the sharded scan's duplicated r² exactly.
 func FuzzScanPathsMatchSerial(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(16), uint8(0), uint16(0), uint8(0), uint8(12), uint16(0), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(60), uint8(24), uint8(fuzzMasks), uint16(300), uint8(0), uint8(15), uint16(40), uint8(1), uint8(1), uint8(1))
@@ -193,6 +195,14 @@ func FuzzScanPathsMatchSerial(f *testing.F) {
 			t.Fatal(err)
 		}
 		check("sharded", sharded, st)
+		regions, err := BuildRegions(a, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serialR2, dup := predictShardedR2(regions, th); serialR2 != stS.R2Computed || dup != st.R2Duplicated {
+			t.Fatalf("predicted serial r² %d, duplicated %d; scans gave %d, %d",
+				serialR2, dup, stS.R2Computed, st.R2Duplicated)
+		}
 		snapshot, st, err := ScanParallelCtx(ctx, a, p, ld.Direct, th, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -133,14 +133,7 @@ func scanRange(ctx context.Context, m *DPMatrix, sc *Scratch, krn Kernel, p Para
 			continue
 		}
 		if first {
-			prevHi := -1
-			for j := i - 1; j >= 0; j-- {
-				if !regions[j].Skipped() {
-					prevHi = regions[j].Hi
-					break
-				}
-			}
-			st.R2Duplicated = triangleCells(prevHi - reg.Lo + 1)
+			st.R2Duplicated = boundaryDup(regions, i)
 			first = false
 		}
 		local := reg

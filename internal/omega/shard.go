@@ -90,6 +90,52 @@ func partitionRegions(regions []Region, threads int) []shardSpan {
 	return append(spans, shardSpan{Lo: start, Hi: n})
 }
 
+// boundaryDup returns the r² a fresh DP matrix recomputes when its
+// region range starts at the scored region i: the overlap triangle
+// between regions[i] and its nearest scored predecessor, which a serial
+// matrix would have relocated instead. Zero when no scored region
+// precedes i or the two windows do not overlap.
+func boundaryDup(regions []Region, i int) int64 {
+	prevHi := -1
+	for j := i - 1; j >= 0; j-- {
+		if !regions[j].Skipped() {
+			prevHi = regions[j].Hi
+			break
+		}
+	}
+	return triangleCells(prevHi - regions[i].Lo + 1)
+}
+
+// predictShardedR2 returns, before any r² is computed, the fresh M
+// cells a serial scan of regions fills and the R2Duplicated that
+// ScanShardedCtx at threads would report: the same shards, each
+// charged boundaryDup at its first scored region, as scanRange does.
+func predictShardedR2(regions []Region, threads int) (serial, dup int64) {
+	for _, w := range estimateCellWork(regions) {
+		serial += w
+	}
+	for _, sp := range partitionRegions(regions, threads) {
+		for i := sp.Lo; i < sp.Hi; i++ {
+			if !regions[i].Skipped() {
+				dup += boundaryDup(regions, i)
+				break
+			}
+		}
+	}
+	return serial, dup
+}
+
+// PreferSharded reports whether sharding regions across threads keeps
+// the duplicated r² small: at most a quarter of all r² the sharded scan
+// computes (serial cells plus duplicated ones, the omega.dup_ratio of
+// perfbench). A wide window makes every shard rebuild most of the DP
+// band, so its scan belongs on the snapshot scheduler, whose one
+// sliding matrix duplicates nothing.
+func PreferSharded(regions []Region, threads int) bool {
+	serial, dup := predictShardedR2(regions, threads)
+	return 4*dup <= serial+dup
+}
+
 // ScanShardedCtx runs the scan with the sharded scheduler: the grid is
 // partitioned into contiguous shards balanced by estimated M-cell work
 // (Equation 3 cells, the LD/DP workload of Fig. 14), and every shard is

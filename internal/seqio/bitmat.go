@@ -324,13 +324,28 @@ type bitmatFile struct {
 }
 
 // parseBitmat validates a complete bitmat image: header sanity, section
-// bounds, content hash, and padding-bit hygiene of the presence bitmap.
+// bounds, content hash, positions, and padding-bit hygiene of the
+// presence bitmap. Only the canonical encoding is accepted
+// (docs/FORMATS.md §1.8): at least one SNP, no bytes past the layout,
+// and a mask section only when some SNP has a mask.
 func parseBitmat(data []byte) (*bitmatFile, error) {
 	hdr, err := decodeBitmatHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	rowsOff, maskOff, fixedSize := bitmatLayout(hdr.snpCount, hdr.wordsPerRow, hdr.flags&BitmatFlagMasks != 0)
+	if hdr.snpCount < 1 {
+		return nil, fmt.Errorf("seqio: bitmat file has no SNPs")
+	}
+	// Bound the dimensions by the image before any offset arithmetic,
+	// so a hostile header can neither overflow the layout nor make the
+	// reader allocate for rows the file does not hold.
+	body := int64(len(data)) - BitmatHeaderSize
+	if int64(hdr.snpCount) > body/8 || int64(hdr.wordsPerRow) > body/8/int64(hdr.snpCount) {
+		return nil, fmt.Errorf("seqio: bitmat file truncated: %d bytes cannot hold %d SNPs of %d words",
+			len(data), hdr.snpCount, hdr.wordsPerRow)
+	}
+	hasMask := hdr.flags&BitmatFlagMasks != 0
+	rowsOff, maskOff, fixedSize := bitmatLayout(hdr.snpCount, hdr.wordsPerRow, hasMask)
 	if hdr.rowsOffset != rowsOff {
 		return nil, fmt.Errorf("seqio: bitmat rows offset %d, want %d", hdr.rowsOffset, rowsOff)
 	}
@@ -339,6 +354,9 @@ func parseBitmat(data []byte) (*bitmatFile, error) {
 	}
 	if int64(len(data)) < fixedSize {
 		return nil, fmt.Errorf("seqio: bitmat file truncated: %d bytes, want ≥ %d", len(data), fixedSize)
+	}
+	if !hasMask && int64(len(data)) != fixedSize {
+		return nil, fmt.Errorf("seqio: bitmat file has %d bytes past its %d-byte layout", int64(len(data))-fixedSize, fixedSize)
 	}
 
 	sum := sha256.New()
@@ -359,8 +377,11 @@ func parseBitmat(data []byte) (*bitmatFile, error) {
 	if err := validateMeta(meta); err != nil {
 		return nil, err
 	}
+	if err := checkPositionRange(f.positions, hdr.length); err != nil {
+		return nil, err
+	}
 
-	if hdr.flags&BitmatFlagMasks != 0 {
+	if hasMask {
 		bits := make([]uint64, bitvec.WordsFor(hdr.snpCount))
 		for w := range bits {
 			off := hdr.maskOffset + int64(w)*8
@@ -376,10 +397,13 @@ func parseBitmat(data []byte) (*bitmatFile, error) {
 				f.maskRank[i+1]++
 			}
 		}
+		if f.maskRank[hdr.snpCount] == 0 {
+			return nil, fmt.Errorf("seqio: bitmat masks flag set but no SNP has a mask")
+		}
 		need := hdr.maskOffset + int64(bitvec.WordsFor(hdr.snpCount))*8 +
 			int64(f.maskRank[hdr.snpCount])*int64(hdr.wordsPerRow)*8
-		if int64(len(data)) < need {
-			return nil, fmt.Errorf("seqio: bitmat mask section truncated: %d bytes, want ≥ %d", len(data), need)
+		if int64(len(data)) != need {
+			return nil, fmt.Errorf("seqio: bitmat file is %d bytes, its mask section ends at %d", len(data), need)
 		}
 	}
 	return f, nil

@@ -16,7 +16,7 @@ import (
 // bitmatAlignment builds a deterministic random alignment; withMasks
 // gives roughly a quarter of the SNPs a validity mask (exercising the
 // compact mask section).
-func bitmatAlignment(t *testing.T, rng *rand.Rand, snps, samples int, withMasks bool) *Alignment {
+func bitmatAlignment(t testing.TB, rng *rand.Rand, snps, samples int, withMasks bool) *Alignment {
 	t.Helper()
 	m := bitvec.NewMatrix(samples)
 	pos := make([]float64, snps)
@@ -42,7 +42,7 @@ func bitmatAlignment(t *testing.T, rng *rand.Rand, snps, samples int, withMasks 
 	return a
 }
 
-func alignmentsEqual(t *testing.T, got, want *Alignment) {
+func alignmentsEqual(t testing.TB, got, want *Alignment) {
 	t.Helper()
 	if got.NumSNPs() != want.NumSNPs() || got.Samples() != want.Samples() || got.Length != want.Length {
 		t.Fatalf("shape: got %d×%d len %g, want %d×%d len %g",

@@ -40,14 +40,23 @@ func (a *Alignment) Validate() error {
 	if !sort.Float64sAreSorted(a.Positions) {
 		return fmt.Errorf("seqio: positions are not sorted")
 	}
-	for i, p := range a.Positions {
-		if p < 0 || (a.Length > 0 && p > a.Length) {
-			return fmt.Errorf("seqio: position %d (%g bp) outside [0, %g]", i, p, a.Length)
-		}
+	if err := checkPositionRange(a.Positions, a.Length); err != nil {
+		return err
 	}
 	if a.SampleNames != nil && len(a.SampleNames) != a.Samples() {
 		return fmt.Errorf("seqio: %d sample names for %d samples",
 			len(a.SampleNames), a.Samples())
+	}
+	return nil
+}
+
+// checkPositionRange rejects a position below 0 or, when length > 0
+// (0 = unknown), above length.
+func checkPositionRange(pos []float64, length float64) error {
+	for i, p := range pos {
+		if p < 0 || (length > 0 && p > length) {
+			return fmt.Errorf("seqio: position %d (%g bp) outside [0, %g]", i, p, length)
+		}
 	}
 	return nil
 }

@@ -60,9 +60,11 @@ func NewTracer() *Tracer { return trace.NewTracer() }
 type Scheduler int
 
 const (
-	// SchedAuto picks SchedSharded when the grid is large enough to
-	// amortize the per-shard boundary recomputation (grid ≥ 4·threads),
-	// and SchedSnapshot otherwise. The default.
+	// SchedAuto picks SchedSharded when the grid holds at least four
+	// regions per thread and the r² the shards would recompute at their
+	// boundaries is at most a quarter of all r² the sharded scan
+	// computes (predicted exactly from the grid regions before
+	// scanning), and SchedSnapshot otherwise. The default.
 	SchedAuto Scheduler = iota
 	// SchedSnapshot is the OmegaPlus-G style producer/consumer pipeline
 	// (omega.ScanParallelCtx): one producer slides a single DP matrix and
@@ -184,7 +186,8 @@ type Config struct {
 	// bounding both the ω workload and the DP matrix memory.
 	MaxSNPsPerSide int
 	// Threads parallelizes the CPU backend across grid positions
-	// (default 1).
+	// (default 1). Under ScanBatch it is the whole batch's budget,
+	// split across the BatchWorkers replicate scans.
 	Threads int
 	// Sched selects the CPU multithreading scheduler (default SchedAuto;
 	// ignored when Threads ≤ 1 or the backend is not BackendCPU).
@@ -228,7 +231,9 @@ type Config struct {
 	// (see cmd/omegabench and BENCH_*.json for the recorded trajectory).
 	UseGEMMLD bool
 	// BatchWorkers bounds the concurrent replicate scans of ScanBatch
-	// (default GOMAXPROCS, capped at the batch size). Ignored by Scan.
+	// (default GOMAXPROCS, capped at the batch size). The workers share
+	// Threads: each replicate scans with max(1, Threads/workers)
+	// threads. Ignored by Scan.
 	BatchWorkers int
 	// ChunkSNPs bounds the SNP rows per chunk of a ScanStream scan
 	// (default: four times the widest grid region, so the double buffer
