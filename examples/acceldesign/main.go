@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -51,22 +52,23 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		m := omega.NewDPMatrix(ld.NewComputer(a, ld.Direct, 1))
-		for _, reg := range regions {
-			if reg.Skipped() {
-				continue
-			}
-			m.Advance(reg.Lo, reg.Hi)
-			in := omega.BuildKernelInput(m, a, reg, p)
-			if in == nil {
-				continue
-			}
-			_, repI := gpu.LaunchOmega(gpu.TeslaK80, gpu.KernelI, in, a, gpu.Options{})
-			_, repII := gpu.LaunchOmega(gpu.TeslaK80, gpu.KernelII, in, a, gpu.Options{})
-			_, repD := gpu.LaunchOmega(gpu.TeslaK80, gpu.Dynamic, in, a, gpu.Options{})
-			fmt.Printf("  %8.0f bp  %9.0f  %8d  %-10v  %11.1f  %12.1f\n",
-				maxwin, reg.Center, in.Total(), repD.Kind,
-				repI.KernelSeconds*1e6, repII.KernelSeconds*1e6)
+		_, err = omega.ScanRange(context.Background(), omega.NewDPMatrix(ld.NewComputer(a, ld.Direct, 1)),
+			omega.Range{Regions: regions, Hi: len(regions), Out: make([]omega.Result, len(regions))},
+			func(reg omega.Region, m *omega.DPMatrix, _ int64, _ int) (omega.Result, bool) {
+				in := omega.BuildKernelInput(m, a, reg, p)
+				if in == nil {
+					return omega.Result{GridIndex: reg.Index, Center: reg.Center}, true
+				}
+				_, repI := gpu.LaunchOmega(gpu.TeslaK80, gpu.KernelI, in, a, gpu.Options{})
+				_, repII := gpu.LaunchOmega(gpu.TeslaK80, gpu.KernelII, in, a, gpu.Options{})
+				resD, repD := gpu.LaunchOmega(gpu.TeslaK80, gpu.Dynamic, in, a, gpu.Options{})
+				fmt.Printf("  %8.0f bp  %9.0f  %8d  %-10v  %11.1f  %12.1f\n",
+					maxwin, reg.Center, in.Total(), repD.Kind,
+					repI.KernelSeconds*1e6, repII.KernelSeconds*1e6)
+				return resD, true
+			})
+		if err != nil {
+			log.Fatal(err)
 		}
 	}
 	fmt.Println("\nbelow the threshold the dynamic deployment picks Kernel I; above it, Kernel II —")

@@ -45,38 +45,43 @@ func TestRegistry(t *testing.T) {
 
 // TestBackendEquivalence asserts every registered backend reproduces
 // the serial CPU reference bit-identically through the uniform Scan
-// interface — the invariant the whole exec layer rests on.
+// interface — the invariant the whole exec layer rests on. The second
+// case has one SNP per side, so each region's single admissible window
+// scores 0/0: every backend returns it invalid and still counts its
+// admissible score, as the CPU kernels do.
 func TestBackendEquivalence(t *testing.T) {
 	a, err := harness.Dataset(600, 40, 271828)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := testParams()
-	ref, _, err := omega.ScanCtx(context.Background(), a, p, ld.Direct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range Backends() {
-		out, err := b.Scan(context.Background(), a, p, Options{})
+	allNaN := omega.Params{GridSize: 10, MaxWindow: 20000, MinSNPsPerSide: 1, MaxSNPsPerSide: 1}
+	for _, p := range []omega.Params{testParams(), allNaN} {
+		ref, refSt, err := omega.ScanCtx(context.Background(), a, p, ld.Direct)
 		if err != nil {
-			t.Fatalf("%s: %v", b.Name(), err)
+			t.Fatal(err)
 		}
-		if len(out.Results) != len(ref) {
-			t.Fatalf("%s: %d results, want %d", b.Name(), len(out.Results), len(ref))
-		}
-		for i := range ref {
-			if out.Results[i] != ref[i] {
-				t.Fatalf("%s: result[%d] = %+v, want %+v", b.Name(), i, out.Results[i], ref[i])
+		for _, b := range Backends() {
+			out, err := b.Scan(context.Background(), a, p, Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", b.Name(), err)
 			}
-		}
-		if out.Stats.OmegaScores == 0 || out.Stats.R2Computed == 0 {
-			t.Errorf("%s: empty unified stats %+v", b.Name(), out.Stats)
-		}
-		// The simulators score every admissible cell, as the paper's
-		// hardware does; only the CPU kernels may skip cells.
-		if ev := out.Stats.OmegaEvaluated; ev <= 0 || ev > out.Stats.OmegaScores ||
-			(b.Name() != "cpu" && ev != out.Stats.OmegaScores) {
-			t.Errorf("%s: evaluated %d of %d admissible scores", b.Name(), ev, out.Stats.OmegaScores)
+			if len(out.Results) != len(ref) {
+				t.Fatalf("%s: %d results, want %d", b.Name(), len(out.Results), len(ref))
+			}
+			for i := range ref {
+				if out.Results[i] != ref[i] {
+					t.Fatalf("%s: result[%d] = %+v, want %+v", b.Name(), i, out.Results[i], ref[i])
+				}
+			}
+			if out.Stats.OmegaScores != refSt.OmegaScores || out.Stats.R2Computed == 0 {
+				t.Errorf("%s: unified stats %+v, want %d scores", b.Name(), out.Stats, refSt.OmegaScores)
+			}
+			// The simulators score every admissible cell, as the paper's
+			// hardware does; only the CPU kernels may skip cells.
+			if ev := out.Stats.OmegaEvaluated; ev <= 0 || ev > out.Stats.OmegaScores ||
+				(b.Name() != "cpu" && ev != out.Stats.OmegaScores) {
+				t.Errorf("%s: evaluated %d of %d admissible scores", b.Name(), ev, out.Stats.OmegaScores)
+			}
 		}
 	}
 }

@@ -303,64 +303,3 @@ func TestResourceEstimateMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestScanScheduledMatchesSingleCard(t *testing.T) {
-	a := testAlignment(t, 220, 30, 89)
-	p := omega.Params{GridSize: 12, MaxWindow: 80000}
-	single, err := ScanCtx(context.Background(), AlveoU200, a, p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{1, 2, 4} {
-		cards := make([]Device, n)
-		for i := range cards {
-			cards[i] = AlveoU200
-		}
-		sched, err := ScanScheduled(cards, a, p, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(sched.Results) != len(single.Results) {
-			t.Fatalf("%d cards: result count mismatch", n)
-		}
-		for i := range single.Results {
-			if single.Results[i].Valid && sched.Results[i].MaxOmega != single.Results[i].MaxOmega {
-				t.Fatalf("%d cards: ω mismatch at %d", n, i)
-			}
-		}
-		if sched.OmegaScores != single.OmegaScores {
-			t.Fatalf("%d cards: score counts differ", n)
-		}
-		total := 0
-		for _, c := range sched.PerCardPositions {
-			total += c
-		}
-		if n > 1 && sched.PerCardPositions[0] == total {
-			t.Errorf("%d cards: scheduler left all work on card 0", n)
-		}
-	}
-}
-
-func TestScanScheduledMakespanScales(t *testing.T) {
-	a := testAlignment(t, 300, 30, 90)
-	p := omega.Params{GridSize: 16, MaxWindow: 0}
-	one, err := ScanScheduled([]Device{AlveoU200}, a, p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	four, err := ScanScheduled([]Device{AlveoU200, AlveoU200, AlveoU200, AlveoU200}, a, p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	speedup := one.MakespanSeconds / four.MakespanSeconds
-	if speedup < 2.5 || speedup > 4.01 {
-		t.Errorf("4-card makespan speedup %.2f, want ≈3–4x", speedup)
-	}
-}
-
-func TestScanScheduledErrors(t *testing.T) {
-	a := testAlignment(t, 50, 10, 91)
-	if _, err := ScanScheduled(nil, a, omega.Params{GridSize: 2}, Options{}); err == nil {
-		t.Error("no cards should error")
-	}
-}

@@ -40,10 +40,14 @@ func (r *ScanReport) OmegaSeconds() float64 { return r.HardwareSeconds + r.Softw
 func (r *ScanReport) TotalSeconds() float64 { return r.LDSeconds + r.OmegaSeconds() }
 
 // ScanCtx runs the complete FPGA-accelerated OmegaPlus workflow on the
-// simulated device. The grid loop checks ctx before dispatching each
-// position's LD batch and ω pipeline run, so a cancelled or expired
-// context aborts the scan within one grid position of work and returns
-// ctx.Err().
+// simulated device: one serial region-range driver (omega.ScanRange)
+// over the whole grid, whose evaluation hook models the companion LD
+// accelerator from each advance's fresh r², packs the region's kernel
+// input, runs it through the ω pipeline and adds the modeled seconds
+// and pipeline counters to the report. It stays serial so the modeled
+// time is one device's. The driver checks ctx before each grid
+// position, so a cancelled or expired context aborts the scan within
+// one grid position of work and returns ctx.Err().
 func ScanCtx(ctx context.Context, d Device, a *seqio.Alignment, p omega.Params, opts Options) (*ScanReport, error) {
 	p = p.WithDefaults()
 	regions, err := omega.BuildRegions(a, p)
@@ -56,48 +60,38 @@ func ScanCtx(ctx context.Context, d Device, a *seqio.Alignment, p omega.Params, 
 	// grid positions (the pipeline consumes each input before the next
 	// position is packed).
 	sc := omega.NewScratch(a, p)
-	m := omega.NewDPMatrixScratch(comp, sc)
 	mt := opts.Meter
-	rep := &ScanReport{Results: make([]omega.Result, 0, len(regions))}
-	for _, reg := range regions {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if reg.Skipped() {
-			rep.Results = append(rep.Results, omega.Result{GridIndex: reg.Index, Center: reg.Center})
-			mt.Tick(0, 0)
-			continue
-		}
-		regStart := time.Now()
-		before := m.R2Computed()
-		m.Advance(reg.Lo, reg.Hi)
-		pairs := m.R2Computed() - before
+	rep := &ScanReport{Results: make([]omega.Result, len(regions))}
+	eval := func(reg omega.Region, m *omega.DPMatrix, pairs int64, _ int) (omega.Result, bool) {
+		ldStart := time.Now()
 		ldSec := ModelLDSeconds(d, pairs, a.Samples())
 		rep.LDSeconds += ldSec
-		mt.Span(obs.PhaseLD, 0, regStart, time.Duration(ldSec*float64(time.Second)), true, nil)
+		mt.Span(obs.PhaseLD, 0, ldStart, time.Duration(ldSec*float64(time.Second)), true, nil)
 
 		in := sc.BuildKernelInput(m, reg, p)
 		if in == nil {
-			rep.Results = append(rep.Results, omega.Result{GridIndex: reg.Index, Center: reg.Center})
-			mt.Tick(0, pairs)
-			continue
+			return omega.Result{GridIndex: reg.Index, Center: reg.Center}, true
 		}
 		omegaStart := time.Now()
 		res, lr := LaunchOmega(d, in, a, opts)
 		mt.Span(obs.PhaseOmega, 0, omegaStart, time.Duration(lr.TotalSeconds()*float64(time.Second)), true, map[string]any{
 			"unroll_factor": lr.UnrollFactor,
 		})
-		mt.Tick(res.Scores, pairs)
-		rep.Results = append(rep.Results, res)
-		rep.OmegaScores += res.Scores
 		rep.HardwareOmegas += lr.HardwareOmegas
 		rep.SoftwareOmegas += lr.SoftwareOmegas
 		rep.Cycles += lr.Cycles
 		rep.HardwareSeconds += lr.HardwareSeconds
 		rep.SoftwareSeconds += lr.SoftwareSeconds
+		return res, true
 	}
-	rep.R2Computed = m.R2Computed()
-	rep.R2Reused = m.R2Reused()
+	st, err := omega.ScanRange(ctx, omega.NewDPMatrixScratch(comp, sc),
+		omega.Range{Regions: regions, Hi: len(regions), Out: rep.Results, Meter: mt, Modeled: true}, eval)
+	if err != nil {
+		return nil, err
+	}
+	rep.OmegaScores = st.OmegaScores
+	rep.R2Computed = st.R2Computed
+	rep.R2Reused = st.R2Reused
 	rep.WallSeconds = time.Since(t0).Seconds()
 	return rep, nil
 }

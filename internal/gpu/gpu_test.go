@@ -296,6 +296,45 @@ func TestScanMatchesCPUScan(t *testing.T) {
 	}
 }
 
+// TestScanLDModelCountsEnteringRows pins the rows the GPU LD model
+// sends over PCIe on a sparse grid, where no window overlaps the last:
+// each scored window is filled afresh, so exactly its own rows enter,
+// not the gap before it.
+func TestScanLDModelCountsEnteringRows(t *testing.T) {
+	a := testAlignment(t, 4000, 30, 97)
+	p := omega.Params{GridSize: 10, MaxWindow: 3000}
+	regions, err := omega.BuildRegions(a, p.WithDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want float64
+	prevHi, gaps := -1, 0
+	for _, reg := range regions {
+		if reg.Skipped() {
+			continue
+		}
+		if reg.Lo <= prevHi {
+			t.Fatalf("region %d overlaps its predecessor; the grid is not sparse", reg.Index)
+		}
+		if reg.Lo > prevHi+1 {
+			gaps++
+		}
+		w := reg.Hi - reg.Lo + 1
+		want += ModelLDSeconds(TeslaK80, int64(w)*int64(w-1)/2, w, w, a.Samples())
+		prevHi = reg.Hi
+	}
+	if gaps == 0 {
+		t.Fatal("no gap between scored windows")
+	}
+	rep, err := ScanCtx(context.Background(), TeslaK80, Dynamic, a, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(rep.LDSeconds-want) > 1e-12*want {
+		t.Errorf("LDSeconds = %g, want %g (entering rows only)", rep.LDSeconds, want)
+	}
+}
+
 func TestModelLDSeconds(t *testing.T) {
 	if ModelLDSeconds(TeslaK80, 0, 0, 0, 50) != 0 {
 		t.Error("zero pairs should cost nothing")

@@ -65,10 +65,14 @@ func (r *ScanReport) OmegaSeconds() float64 {
 func (r *ScanReport) TotalSeconds() float64 { return r.LDSeconds + r.OmegaSeconds() }
 
 // ScanCtx runs the complete GPU-accelerated OmegaPlus workflow on the
-// simulated device. The grid loop checks ctx before dispatching each
-// position's LD GEMM and ω kernel, so a cancelled or expired context
-// aborts the scan within one grid position of work and returns
-// ctx.Err().
+// simulated device: one serial region-range driver (omega.ScanRange)
+// over the whole grid, whose evaluation hook models the LD GEMM from
+// each advance's fresh r² and entering rows, packs the region's kernel
+// input, launches the ω kernel and adds the modeled seconds and launch
+// counters to the report. It stays serial so the modeled time is one
+// device's. The driver checks ctx before each grid position, so a
+// cancelled or expired context aborts the scan within one grid
+// position of work and returns ctx.Err().
 func ScanCtx(ctx context.Context, d Device, kind Kind, a *seqio.Alignment, p omega.Params, opts Options) (*ScanReport, error) {
 	p = p.WithDefaults()
 	regions, err := omega.BuildRegions(a, p)
@@ -83,29 +87,13 @@ func ScanCtx(ctx context.Context, d Device, kind Kind, a *seqio.Alignment, p ome
 	// KernelInput from fresh allocations per position (each launch
 	// consumes its input fully before the next position is packed).
 	sc := omega.NewScratch(a, p)
-	m := omega.NewDPMatrixScratch(comp, sc)
 	mt := opts.Meter
-	rep := &ScanReport{Results: make([]omega.Result, 0, len(regions))}
-	for _, reg := range regions {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if reg.Skipped() {
-			rep.Results = append(rep.Results, omega.Result{GridIndex: reg.Index, Center: reg.Center})
-			mt.Tick(0, 0)
-			continue
-		}
-		regStart := time.Now()
-		// LD phase: the DP extension computes r² for entering SNPs via
+	rep := &ScanReport{Results: make([]omega.Result, len(regions))}
+	eval := func(reg omega.Region, m *omega.DPMatrix, pairs int64, newRows int) (omega.Result, bool) {
+		// LD phase: the DP extension computed r² for entering SNPs via
 		// the GEMM engine; its device time is modeled from the fresh
-		// pair count.
-		before := m.R2Computed()
-		newRows := reg.Hi - m.Hi()
-		if m.Lo() > reg.Lo {
-			newRows = reg.Hi - reg.Lo + 1
-		}
-		m.Advance(reg.Lo, reg.Hi)
-		pairs := m.R2Computed() - before
+		// pair count and the rows that cross PCIe.
+		ldStart := time.Now()
 		ldSec := model.EstimatePhase(devmodel.PhaseLD, devmodel.Work{
 			Pairs:      pairs,
 			Samples:    a.Samples(),
@@ -113,14 +101,12 @@ func ScanCtx(ctx context.Context, d Device, kind Kind, a *seqio.Alignment, p ome
 			WindowRows: reg.Hi - reg.Lo + 1,
 		}, 0)
 		rep.LDSeconds += ldSec
-		mt.Span(obs.PhaseLD, 0, regStart, time.Duration(ldSec*float64(time.Second)), true, nil)
+		mt.Span(obs.PhaseLD, 0, ldStart, time.Duration(ldSec*float64(time.Second)), true, nil)
 
 		// ω phase: pack buffers (host, scratch-backed), transfer, launch.
 		in := sc.BuildKernelInput(m, reg, p)
 		if in == nil {
-			rep.Results = append(rep.Results, omega.Result{GridIndex: reg.Index, Center: reg.Center})
-			mt.Tick(0, pairs)
-			continue
+			return omega.Result{GridIndex: reg.Index, Center: reg.Center}, true
 		}
 		o := opts
 		windowSNPs := int64(reg.Hi - reg.Lo + 1)
@@ -130,9 +116,6 @@ func ScanCtx(ctx context.Context, d Device, kind Kind, a *seqio.Alignment, p ome
 		mt.Span(obs.PhaseOmega, 0, omegaStart, time.Duration(lr.TotalSeconds()*float64(time.Second)), true, map[string]any{
 			"kernel": lr.Kind.String(),
 		})
-		mt.Tick(lr.Omegas, pairs)
-		rep.Results = append(rep.Results, res)
-		rep.OmegaScores += lr.Omegas
 		rep.BytesTransferred += lr.Bytes
 		rep.OmegaKernelSeconds += lr.KernelSeconds
 		rep.OmegaPrepSeconds += lr.PrepSeconds
@@ -154,9 +137,16 @@ func ScanCtx(ctx context.Context, d Device, kind Kind, a *seqio.Alignment, p ome
 		if lr.OrderSwitched {
 			rep.OrderSwitches++
 		}
+		return res, true
 	}
-	rep.R2Computed = m.R2Computed()
-	rep.R2Reused = m.R2Reused()
+	st, err := omega.ScanRange(ctx, omega.NewDPMatrixScratch(comp, sc),
+		omega.Range{Regions: regions, Hi: len(regions), Out: rep.Results, Meter: mt, Modeled: true}, eval)
+	if err != nil {
+		return nil, err
+	}
+	rep.OmegaScores = st.OmegaScores
+	rep.R2Computed = st.R2Computed
+	rep.R2Reused = st.R2Reused
 	rep.WallSeconds = time.Since(t0).Seconds()
 	return rep, nil
 }

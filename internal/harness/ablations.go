@@ -40,15 +40,13 @@ func Ablations(quick bool) (*Table, error) {
 		t0 := time.Now()
 		var computed int64
 		if reuse {
-			m := omega.NewDPMatrix(ld.NewComputer(a, ld.Direct, 1))
-			for _, reg := range regions {
-				if reg.Skipped() {
-					continue
-				}
-				m.Advance(reg.Lo, reg.Hi)
-				omega.ComputeOmega(m, a, reg, p)
-			}
-			computed = m.R2Computed()
+			// The error is the context's, and a background one never ends.
+			st, _ := omega.ScanRange(context.Background(), omega.NewDPMatrix(ld.NewComputer(a, ld.Direct, 1)),
+				omega.Range{Regions: regions, Hi: len(regions), Out: make([]omega.Result, len(regions))},
+				func(reg omega.Region, m *omega.DPMatrix, _ int64, _ int) (omega.Result, bool) {
+					return omega.ComputeOmega(m, a, reg, p), true
+				})
+			computed = st.R2Computed
 		} else {
 			for _, reg := range regions {
 				if reg.Skipped() {

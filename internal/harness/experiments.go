@@ -154,18 +154,16 @@ func kernelInputs(a *seqio.Alignment, p omega.Params) ([]*omega.KernelInput, err
 	if err != nil {
 		return nil, err
 	}
-	m := omega.NewDPMatrix(ld.NewComputer(a, ld.Direct, 1))
 	var ins []*omega.KernelInput
-	for _, reg := range regions {
-		if reg.Skipped() {
-			continue
-		}
-		m.Advance(reg.Lo, reg.Hi)
-		if in := omega.BuildKernelInput(m, a, reg, p); in != nil {
-			ins = append(ins, in)
-		}
-	}
-	return ins, nil
+	_, err = omega.ScanRange(context.Background(), omega.NewDPMatrix(ld.NewComputer(a, ld.Direct, 1)),
+		omega.Range{Regions: regions, Hi: len(regions), Out: make([]omega.Result, len(regions))},
+		func(reg omega.Region, m *omega.DPMatrix, _ int64, _ int) (omega.Result, bool) {
+			if in := omega.BuildKernelInput(m, a, reg, p); in != nil {
+				ins = append(ins, in)
+			}
+			return omega.Result{}, false // kept for the kernel loops
+		})
+	return ins, err
 }
 
 // gpuKernelThroughput sums modeled kernel-only (device) time and ω

@@ -9,17 +9,22 @@
 //
 //   - ScanCtx — the serial reference workflow.
 //   - ScanParallelCtx — the snapshot scheduler: one producer slides the
-//     DP matrix, workers score immutable snapshots.
+//     DP matrix and hands each region's immutable snapshot to workers
+//     that score it.
 //   - ScanShardedCtx — the work-sharded scheduler: contiguous region
 //     ranges scanned in parallel, each with a private DP matrix.
 //   - ScanStream — the out-of-core path: an seqio.ChunkSource delivers
 //     overlapping row chunks, double-buffered against compute, with
 //     only the live DP band resident (stream.go).
 //
-// The serial, sharded and streamed scans share one region-range driver
-// (scanRange in scan.go). A fresh DP matrix over a contiguous range of
-// regions reproduces the serial cells bit for bit; the r² a serial
-// matrix would have relocated instead is reported as
+// Every loop over a scan's regions is one region-range driver
+// (ScanRange in scan.go) with a per-region evaluation hook: the serial
+// scan, each shard and each streamed chunk score inline with a Kernel,
+// the snapshot producer hands each region to its workers, and the GPU
+// and FPGA simulators (internal/gpu, internal/fpga) model the device
+// around their own ω launches. A fresh DP matrix over a contiguous
+// range of regions reproduces the serial cells bit for bit; the r² a
+// serial matrix would have relocated instead is reported as
 // Stats.R2Duplicated.
 //
 // The per-region ω evaluation itself is pluggable: a registry of

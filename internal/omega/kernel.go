@@ -191,10 +191,12 @@ func (in *KernelInput) ScoreAt(g int) float64 {
 }
 
 // ResultFromInput converts a winning slot into a Result (used by the
-// accelerator backends after their max-reduction).
+// accelerator backends after their max-reduction). When nothing scored
+// a number (scores is 0, or every ω was NaN) the Result is invalid but
+// keeps the admissible count, as the CPU kernels' results do.
 func (in *KernelInput) ResultFromInput(a *seqio.Alignment, bestSlot int, bestOmega float64, scores int64) Result {
 	if scores == 0 || math.IsInf(bestOmega, -1) {
-		return Result{GridIndex: in.GridIndex, Center: in.Center}
+		return Result{GridIndex: in.GridIndex, Center: in.Center, Scores: scores}
 	}
 	o := bestSlot / in.Inner()
 	i := bestSlot % in.Inner()

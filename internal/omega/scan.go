@@ -31,9 +31,11 @@ type Stats struct {
 	LDTime    time.Duration
 	OmegaTime time.Duration
 	// SnapshotTime is the cost of copying DP-matrix row headers for the
-	// snapshot scheduler's immutable views (ScanParallelCtx). Kept separate
-	// from LDTime so the Fig. 14 LD/ω split is not inflated by scheduling
-	// overhead that the paper's serial profile does not contain.
+	// snapshot scheduler's immutable views, charged by its evaluation
+	// hook inside the region-range driver (ScanParallelCtx). Kept separate
+	// from LDTime and OmegaTime so the Fig. 14 LD/ω split is not inflated
+	// by scheduling overhead that the paper's serial profile does not
+	// contain.
 	SnapshotTime time.Duration
 	// KernelScalar/KernelBlocked count the grid regions evaluated by each
 	// ω kernel implementation — the CPU analogue of the paper's Kernel
@@ -94,7 +96,7 @@ func scanRegions(ctx context.Context, comp *ld.Computer, a *seqio.Alignment, reg
 	}
 	sc := NewScratch(a, p)
 	results := make([]Result, len(regions))
-	st, err := scanRange(ctx, NewDPMatrixScratch(comp, sc), sc, krn, p, regions, 0, len(regions), 0, results, mt, 0)
+	st, err := ScanRange(ctx, NewDPMatrixScratch(comp, sc), Range{Regions: regions, Hi: len(regions), Out: results, Meter: mt}, kernelEval(krn, sc, p))
 	if err != nil {
 		return nil, st, err
 	}
@@ -102,65 +104,110 @@ func scanRegions(ctx context.Context, comp *ld.Computer, a *seqio.Alignment, reg
 	return results, st, nil
 }
 
-// scanRange is the region-range driver shared by the serial, sharded
-// and streamed scans (ARCHITECTURE.md §2.5): it advances the DP matrix
-// m to each scored region of regions[lo:hi) in order, evaluates it with
-// krn, and writes the result to its global slot out[i]. The matrix
-// covers SNP rows from global row off on (0 in memory, the chunk's
-// first row when streaming): region indices are shifted down by off on
-// the way in and border indices back up on the way out. m may be nil
-// only when every region in the range is skipped.
+// RegionEval evaluates one scored region after ScanRange has advanced
+// m to it. reg is in m's local frame; fresh is the r² the advance
+// computed and newRows the SNP rows that entered m. It returns the
+// region's Result with ok true, or ok false when it has handed the
+// region off and fills the region's result slot itself.
+type RegionEval func(reg Region, m *DPMatrix, fresh int64, newRows int) (res Result, ok bool)
+
+// kernelEval scores each region inline with krn on sc.
+func kernelEval(krn Kernel, sc *Scratch, p Params) RegionEval {
+	return func(reg Region, m *DPMatrix, _ int64, _ int) (Result, bool) {
+		return krn.Evaluate(sc, m, reg, p), true
+	}
+}
+
+// Range is a contiguous run Regions[Lo:Hi) of a scan's grid, driven by
+// ScanRange over one DP matrix.
+type Range struct {
+	Regions []Region // the whole grid, in order
+	Lo, Hi  int      // the range, half-open
+	// Off is the global SNP row of the matrix's row 0: 0 in memory, the
+	// chunk's first row when streaming.
+	Off int
+	// Out holds the grid's result slots (len(Regions)); region i's
+	// result goes to Out[i].
+	Out   []Result
+	Meter *obs.Meter // nil = disabled
+	Lane  int        // trace lane of the measured LD/ω spans
+	// Modeled marks a simulator range: its RegionEval emits the device's
+	// modeled LD/ω spans, so the driver emits no measured ones.
+	Modeled bool
+}
+
+// ScanRange is the region-range driver, the one loop that walks a
+// scan's regions (ARCHITECTURE.md §2.5): it advances the DP matrix m to
+// each scored region of r in order and hands it to eval, which scores
+// it inline (the CPU kernels, the GPU and FPGA simulators) or hands it
+// off (the snapshot scheduler). Region indices are shifted down by
+// r.Off on the way in and border indices back up on the way out. m may
+// be nil only when every region in the range is skipped.
 //
 // The first scored region charges the overlap with its serial
 // predecessor — the triangle a serial matrix would have relocated — to
-// R2Duplicated; it is zero when the range starts the grid. Kernel
-// tallies stay on sc for the caller to read once, since a scratch may
-// outlive one range. mt (nil = disabled) receives LD/ω spans on lane
-// and one progress tick per region. The scan stops at the first region
-// that finds ctx done and returns ctx.Err() with the partial Stats.
-func scanRange(ctx context.Context, m *DPMatrix, sc *Scratch, krn Kernel, p Params, regions []Region, lo, hi, off int, out []Result, mt *obs.Meter, lane int) (st Stats, err error) {
+// R2Duplicated; it is zero when the range starts the grid. The time in
+// eval is OmegaTime for a region scored inline. r.Meter receives a
+// measured LD span per region and a measured ω span per inline result
+// on r.Lane (neither when r.Modeled), and one progress tick per region
+// the driver completes: skipped or scored inline, but not handed off.
+// The scan stops at the first region that finds ctx done and returns
+// ctx.Err() with the partial Stats.
+func ScanRange(ctx context.Context, m *DPMatrix, r Range, eval RegionEval) (st Stats, err error) {
 	first := true
 	var prevR2 int64
-	for i := lo; i < hi; i++ {
+	mt := r.Meter
+	for i := r.Lo; i < r.Hi; i++ {
 		if err = ctx.Err(); err != nil {
 			break
 		}
-		reg := regions[i]
+		reg := r.Regions[i]
 		st.Grid++
 		if reg.Skipped() {
-			out[i] = Result{GridIndex: reg.Index, Center: reg.Center}
+			r.Out[i] = Result{GridIndex: reg.Index, Center: reg.Center}
 			mt.Tick(0, 0)
 			continue
 		}
 		if first {
-			st.R2Duplicated = boundaryDup(regions, i)
+			st.R2Duplicated = boundaryDup(r.Regions, i)
 			first = false
 		}
 		local := reg
-		local.Lo -= off
-		local.Hi -= off
-		local.K -= off
+		local.Lo -= r.Off
+		local.Hi -= r.Off
+		local.K -= r.Off
+		// Rows past the old window enter; a window that does not overlap
+		// it is filled afresh.
+		newRows := local.Hi - max(m.Hi(), local.Lo-1)
 
 		t0 := time.Now()
 		m.Advance(local.Lo, local.Hi)
 		dLD := time.Since(t0)
 		st.LDTime += dLD
-		mt.Span(obs.PhaseLD, lane, t0, dLD, false, nil)
+		if !r.Modeled {
+			mt.Span(obs.PhaseLD, r.Lane, t0, dLD, false, nil)
+		}
+		r2 := m.R2Computed()
+		fresh := r2 - prevR2
+		prevR2 = r2
 
 		t1 := time.Now()
-		res := krn.Evaluate(sc, m, local, p)
+		res, ok := eval(local, m, fresh, newRows)
+		if !ok {
+			continue
+		}
 		dOmega := time.Since(t1)
 		st.OmegaTime += dOmega
-		mt.Span(obs.PhaseOmega, lane, t1, dOmega, false, nil)
+		if !r.Modeled {
+			mt.Span(obs.PhaseOmega, r.Lane, t1, dOmega, false, nil)
+		}
 		if res.Valid {
-			res.LeftBorder += off
-			res.RightBorder += off
+			res.LeftBorder += r.Off
+			res.RightBorder += r.Off
 		}
 		st.OmegaScores += res.Scores
-		out[i] = res
-		r2 := m.R2Computed()
-		mt.Tick(res.Scores, r2-prevR2)
-		prevR2 = r2
+		r.Out[i] = res
+		mt.Tick(res.Scores, fresh)
 	}
 	if m != nil {
 		st.R2Computed = m.R2Computed()
@@ -183,10 +230,12 @@ func (s *Stats) addTallies(sc *Scratch) {
 // ScanParallelCtx is the snapshot scheduler: it parallelizes the ω
 // computation (Equation 2) across grid positions in the style of the
 // generic multithreaded OmegaPlus (OmegaPlus-G, discussed in §III): a
-// producer slides the DP matrix through the regions serially (LD and
-// the M update are computed once, with maximal Equation 3 reuse),
-// taking an immutable snapshot per region, and `threads` workers score
-// the snapshots concurrently. OmegaTime is summed across workers.
+// producer — the region-range driver over the whole grid — slides the
+// DP matrix through the regions serially (LD and the M update are
+// computed once, with maximal Equation 3 reuse), and its evaluation
+// hook takes an immutable snapshot per region and hands it to one of
+// `threads` workers, which score the snapshots concurrently. OmegaTime
+// is summed across workers.
 //
 // Because the producer is alone, LD throughput does not scale with
 // threads — the bottleneck ScanShardedCtx exists to remove on the
@@ -221,12 +270,10 @@ func ScanParallelCtx(ctx context.Context, a *seqio.Alignment, p Params, engine l
 	type job struct {
 		view *View
 		reg  Region
-		slot int
 	}
 	jobs := make(chan job, threads)
 	results := make([]Result, len(regions))
-	omegaNs := make([]int64, threads)
-	scores := make([]int64, threads)
+	tallies := make([]Stats, threads)      // ω time and scores per worker
 	scratches := make([]*Scratch, threads) // one per worker, never shared
 	var wg sync.WaitGroup
 	for w := 0; w < threads; w++ {
@@ -242,10 +289,10 @@ func ScanParallelCtx(ctx context.Context, a *seqio.Alignment, p Params, engine l
 				t0 := time.Now()
 				res := krn.Evaluate(ws, jb.view, jb.reg, p)
 				d := time.Since(t0)
-				omegaNs[w] += d.Nanoseconds()
+				tallies[w].OmegaTime += d
 				mt.Span(obs.PhaseOmega, 2+w, t0, d, false, nil)
-				scores[w] += res.Scores
-				results[jb.slot] = res
+				tallies[w].OmegaScores += res.Scores
+				results[jb.reg.Index] = res // a region's Index is its grid slot
 				mt.Tick(res.Scores, 0)
 			}
 		}(w)
@@ -253,47 +300,31 @@ func ScanParallelCtx(ctx context.Context, a *seqio.Alignment, p Params, engine l
 
 	// The producer's scratch backs only the DP matrix arena; workers
 	// score snapshots with their own scratches.
-	m := NewDPMatrixScratch(comp, NewScratch(a, p))
-	var st Stats
-	var prevR2 int64
-	for i, reg := range regions {
-		if ctx.Err() != nil {
-			break
-		}
-		st.Grid++
-		if reg.Skipped() {
-			results[i] = Result{GridIndex: reg.Index, Center: reg.Center}
-			mt.Tick(0, 0)
-			continue
-		}
-		t0 := time.Now()
-		m.Advance(reg.Lo, reg.Hi)
-		dLD := time.Since(t0)
-		st.LDTime += dLD
-		mt.Span(obs.PhaseLD, 1, t0, dLD, false, nil)
-		r2 := m.R2Computed()
-		mt.AddR2(r2 - prevR2)
-		prevR2 = r2
-		t1 := time.Now()
-		view := m.Snapshot()
-		dSnap := time.Since(t1)
-		st.SnapshotTime += dSnap
-		mt.Span(obs.PhaseSnapshot, 1, t1, dSnap, false, nil)
-		jobs <- job{view: view, reg: reg, slot: i}
-	}
+	// ScanRange's error is ctx's, checked once the workers are joined.
+	var snapTime time.Duration
+	st, _ := ScanRange(ctx, NewDPMatrixScratch(comp, NewScratch(a, p)),
+		Range{Regions: regions, Hi: len(regions), Out: results, Meter: mt, Lane: 1},
+		func(reg Region, m *DPMatrix, fresh int64, _ int) (Result, bool) {
+			mt.AddR2(fresh)
+			t0 := time.Now()
+			view := m.Snapshot()
+			d := time.Since(t0)
+			snapTime += d
+			mt.Span(obs.PhaseSnapshot, 1, t0, d, false, nil)
+			jobs <- job{view: view, reg: reg}
+			return Result{}, false
+		})
 	close(jobs)
 	wg.Wait()
 
+	st.SnapshotTime = snapTime
 	if err := ctx.Err(); err != nil {
 		return nil, st, err
 	}
 	for w := 0; w < threads; w++ {
-		st.OmegaTime += time.Duration(omegaNs[w])
-		st.OmegaScores += scores[w]
+		st.Add(tallies[w])
 		st.addTallies(scratches[w])
 	}
-	st.R2Computed = m.R2Computed()
-	st.R2Reused = m.R2Reused()
 	return results, st, nil
 }
 

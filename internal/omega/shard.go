@@ -109,7 +109,7 @@ func boundaryDup(regions []Region, i int) int64 {
 // predictShardedR2 returns, before any r² is computed, the fresh M
 // cells a serial scan of regions fills and the R2Duplicated that
 // ScanShardedCtx at threads would report: the same shards, each
-// charged boundaryDup at its first scored region, as scanRange does.
+// charged boundaryDup at its first scored region, as ScanRange does.
 func predictShardedR2(regions []Region, threads int) (serial, dup int64) {
 	for _, w := range estimateCellWork(regions) {
 		serial += w
@@ -139,7 +139,7 @@ func PreferSharded(regions []Region, threads int) bool {
 // ScanShardedCtx runs the scan with the sharded scheduler: the grid is
 // partitioned into contiguous shards balanced by estimated M-cell work
 // (Equation 3 cells, the LD/DP workload of Fig. 14), and every shard is
-// one region range (scanRange) with a private DP matrix — both the
+// one region range (ScanRange) with a private DP matrix — both the
 // LD/DP stage and the ω nested loop (Equation 2) run fully in parallel.
 //
 // This removes the serial-producer bottleneck of ScanParallelCtx
@@ -189,7 +189,9 @@ func ScanShardedCtx(ctx context.Context, a *seqio.Alignment, p Params, engine ld
 			lane := 2 + s
 			sc := NewScratch(a, p) // shard-private: scratches are never shared
 			start := time.Now()
-			st, _ := scanRange(ctx, NewDPMatrixScratch(comp.Clone(), sc), sc, krn, p, regions, sp.Lo, sp.Hi, 0, results, mt, lane)
+			st, _ := ScanRange(ctx, NewDPMatrixScratch(comp.Clone(), sc),
+				Range{Regions: regions, Lo: sp.Lo, Hi: sp.Hi, Out: results, Meter: mt, Lane: lane},
+				kernelEval(krn, sc, p))
 			st.addTallies(sc)
 			mt.Span(fmt.Sprintf("shard %d", s), lane, start, time.Since(start), false, map[string]any{
 				"regions":       sp.Hi - sp.Lo,

@@ -128,7 +128,7 @@ type loadedChunk struct {
 // Beyer & Bientinesi applied to the paper's Fig. 3 workflow. Only the
 // live chunk's rows and DP band are resident.
 //
-// Each chunk is one region range (scanRange) with a fresh DP matrix
+// Each chunk is one region range (ScanRange) with a fresh DP matrix
 // over the chunk's rows, so results are bit-identical to the in-memory
 // ScanCtx on the same data and the boundary overlap each chunk
 // recomputes is reported in Stats.R2Duplicated (ARCHITECTURE.md §2.5).
@@ -229,7 +229,9 @@ func ScanStream(ctx context.Context, src seqio.ChunkSource, p Params, engine ld.
 			}
 			m = NewDPMatrixScratch(ld.NewComputer(l.a, engine, ldWorkers), sc)
 		}
-		cst, err := scanRange(ctx, m, sc, krn, p, regions, l.span.regLo, l.span.regHi, l.span.snpLo, results, mt, 0)
+		cst, err := ScanRange(ctx, m,
+			Range{Regions: regions, Lo: l.span.regLo, Hi: l.span.regHi, Off: l.span.snpLo, Out: results, Meter: mt},
+			kernelEval(krn, sc, p))
 		st.Add(cst)
 		if err != nil {
 			return nil, st, sst, err

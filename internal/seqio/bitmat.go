@@ -377,9 +377,6 @@ func parseBitmat(data []byte) (*bitmatFile, error) {
 	if err := validateMeta(meta); err != nil {
 		return nil, err
 	}
-	if err := checkPositionRange(f.positions, hdr.length); err != nil {
-		return nil, err
-	}
 
 	if hasMask {
 		bits := make([]uint64, bitvec.WordsFor(hdr.snpCount))

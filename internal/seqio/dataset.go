@@ -2,6 +2,7 @@ package seqio
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"omegago/internal/bitvec"
@@ -27,8 +28,9 @@ func (a *Alignment) Samples() int { return a.Matrix.Samples() }
 // NumSNPs returns the number of segregating sites.
 func (a *Alignment) NumSNPs() int { return len(a.Positions) }
 
-// Validate checks the structural invariants: positions sorted and within
-// [0, Length], and matrix row count matching the position count.
+// Validate checks the structural invariants: positions sorted, not NaN
+// and within [0, Length], and matrix row count matching the position
+// count.
 func (a *Alignment) Validate() error {
 	if a.Matrix == nil {
 		return fmt.Errorf("seqio: alignment has no matrix")
@@ -50,11 +52,12 @@ func (a *Alignment) Validate() error {
 	return nil
 }
 
-// checkPositionRange rejects a position below 0 or, when length > 0
-// (0 = unknown), above length.
+// checkPositionRange rejects a NaN position (sorted order cannot, since
+// sort.Float64sAreSorted orders NaN first), a position below 0 or, when
+// length > 0 (0 = unknown), one above length.
 func checkPositionRange(pos []float64, length float64) error {
 	for i, p := range pos {
-		if p < 0 || (length > 0 && p > length) {
+		if math.IsNaN(p) || p < 0 || (length > 0 && p > length) {
 			return fmt.Errorf("seqio: position %d (%g bp) outside [0, %g]", i, p, length)
 		}
 	}

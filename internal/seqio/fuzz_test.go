@@ -130,7 +130,7 @@ func FuzzReadBitmat(f *testing.F) {
 	}
 	// Non-canonical images the readers once accepted, rehashed: a
 	// trailing word, the masks flag over an empty mask section, no
-	// SNPs, and a position past the region length.
+	// SNPs, a position past the region length, and a NaN first position.
 	var buf bytes.Buffer
 	if err := WriteBitmat(&buf, bitmatAlignment(f, rng, 3, 5, false)); err != nil {
 		f.Fatal(err)
@@ -146,6 +146,7 @@ func FuzzReadBitmat(f *testing.F) {
 	f.Add(edit(8, func(b []byte) { b[12] |= BitmatFlagMasks; put(b[56:], uint64(len(good))) }), true)
 	f.Add(edit(0, func(b []byte) { put(b[16:], 0); put(b[48:], BitmatHeaderSize) })[:BitmatHeaderSize], true)
 	f.Add(edit(0, func(b []byte) { put(b[32:], math.Float64bits(1)) }), true)
+	f.Add(edit(0, func(b []byte) { put(b[BitmatHeaderSize:], math.Float64bits(math.NaN())) }), true)
 	f.Fuzz(func(t *testing.T, data []byte, rehash bool) {
 		if rehash && len(data) >= BitmatHeaderSize {
 			sum := sha256.New()
@@ -172,6 +173,11 @@ func FuzzReadBitmat(f *testing.F) {
 			return
 		}
 		alignmentsEqual(t, chunk, a)
+		for i, p := range a.Positions {
+			if math.IsNaN(p) {
+				t.Fatalf("accepted NaN position %d", i)
+			}
+		}
 		var out bytes.Buffer
 		if err := WriteBitmat(&out, a); err != nil {
 			t.Fatalf("accepted input does not re-encode: %v", err)

@@ -1,6 +1,7 @@
 package seqio
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -270,6 +271,16 @@ func TestAlignmentValidate(t *testing.T) {
 	bad3 := &Alignment{Positions: []float64{3}, Length: 10, Matrix: a.Matrix}
 	if err := bad3.Validate(); err == nil {
 		t.Error("row count mismatch should fail validation")
+	}
+	// sort.Float64sAreSorted orders NaN first, so only the range check
+	// can reject it.
+	nan := []float64{math.NaN(), 3, 5}
+	bad4 := &Alignment{Positions: nan, Length: 10, Matrix: a.Matrix}
+	if err := bad4.Validate(); err == nil {
+		t.Error("NaN position should fail validation")
+	}
+	if err := validateMeta(StreamMeta{Samples: a.Samples(), NumSNPs: 3, Length: 10, Positions: nan}); err == nil {
+		t.Error("NaN position should fail stream meta validation")
 	}
 }
 

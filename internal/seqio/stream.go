@@ -64,13 +64,17 @@ type ChunkSource interface {
 	Close() error
 }
 
-// validateMeta is the shared sanity check sources run at construction.
+// validateMeta is the shared sanity check sources run at construction:
+// positions obey the rules Alignment.Validate applies.
 func validateMeta(m StreamMeta) error {
 	if m.NumSNPs != len(m.Positions) {
 		return fmt.Errorf("seqio: stream meta: %d SNPs but %d positions", m.NumSNPs, len(m.Positions))
 	}
 	if !sort.Float64sAreSorted(m.Positions) {
 		return fmt.Errorf("seqio: stream meta: positions are not sorted")
+	}
+	if err := checkPositionRange(m.Positions, m.Length); err != nil {
+		return err
 	}
 	if m.Samples < 0 {
 		return fmt.Errorf("seqio: stream meta: negative sample count %d", m.Samples)
