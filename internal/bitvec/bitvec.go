@@ -55,22 +55,6 @@ func FromBools(b []bool) *Vector {
 	return v
 }
 
-// FromBytes builds a vector from a slice of '0'/'1' characters.
-// Any character other than '0' or '1' is an error.
-func FromBytes(s []byte) (*Vector, error) {
-	v := New(len(s))
-	for i, c := range s {
-		switch c {
-		case '1':
-			v.words[i>>wordShift] |= 1 << (uint(i) & wordMask)
-		case '0':
-		default:
-			return nil, fmt.Errorf("bitvec: invalid character %q at position %d", c, i)
-		}
-	}
-	return v, nil
-}
-
 // AdoptWords wraps an existing word slice as a Vector of n bits WITHOUT
 // copying: the vector aliases words for its lifetime. The caller must
 // guarantee len(words) == WordsFor(n) and that every bit of the last

@@ -68,18 +68,8 @@ func TestFromBools(t *testing.T) {
 			t.Errorf("bit %d = %v, want %v", i, v.Get(i), x)
 		}
 	}
-}
-
-func TestFromBytes(t *testing.T) {
-	v, err := FromBytes([]byte("01101"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.String() != "01101" {
-		t.Errorf("String = %q, want 01101", v.String())
-	}
-	if _, err := FromBytes([]byte("01x01")); err == nil {
-		t.Error("expected error on invalid character")
+	if v.String() != "10110" {
+		t.Errorf("String = %q, want 10110", v.String())
 	}
 }
 

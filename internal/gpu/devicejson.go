@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"time"
 )
 
@@ -24,7 +25,9 @@ type deviceJSON struct {
 }
 
 // DeviceFromJSON reads a custom device profile, so the cost models can
-// be pointed at hardware beyond the paper's two systems. Unset host
+// be pointed at hardware beyond the paper's two systems. Decoding is
+// strict: unknown fields, trailing data, negative host constants and
+// durations or sizes that overflow are rejected. Unset (zero) host
 // constants inherit the Tesla K80 host defaults.
 func DeviceFromJSON(r io.Reader) (Device, error) {
 	var dj deviceJSON
@@ -33,11 +36,20 @@ func DeviceFromJSON(r io.Reader) (Device, error) {
 	if err := dec.Decode(&dj); err != nil {
 		return Device{}, fmt.Errorf("gpu: decoding device profile: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Device{}, fmt.Errorf("gpu: trailing data after device profile")
+	}
 	if dj.Name == "" || dj.ComputeUnits <= 0 || dj.WarpSize <= 0 || dj.SPsPerCU <= 0 {
 		return Device{}, fmt.Errorf("gpu: device profile needs name, compute_units, warp_size, sps_per_cu")
 	}
 	if dj.ClockMHz <= 0 || dj.MemBandwidthGBs <= 0 || dj.PCIeBandwidthGBs <= 0 {
 		return Device{}, fmt.Errorf("gpu: device profile needs positive clock and bandwidths")
+	}
+	if dj.LaunchLatencyUS < 0 || dj.HostNsPerByte < 0 || dj.HostNsPerByteCold < 0 || dj.HostCacheKB < 0 {
+		return Device{}, fmt.Errorf("gpu: device profile host constants must not be negative")
+	}
+	if dj.LaunchLatencyUS > float64(math.MaxInt64/int64(time.Microsecond)) || dj.HostCacheKB > math.MaxInt64>>10 {
+		return Device{}, fmt.Errorf("gpu: device profile launch_latency_us or host_cache_kb overflows")
 	}
 	d := Device{
 		Name:              dj.Name,

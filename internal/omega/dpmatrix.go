@@ -142,10 +142,6 @@ func (m *DPMatrix) extendTo(hi int) {
 	m.hi = hi
 }
 
-// WindowSum returns Σ r² over all pairs within global SNP range [j, i]
-// (an alias of At with self-documenting intent for the ω kernel).
-func (m *DPMatrix) WindowSum(j, i int) float64 { return m.At(i, j) }
-
 // MatrixView is the read-only access the ω kernels need to the matrix M
 // of Equation 3: At(i, j) = Σ r²(s,t) over j ≤ s < t ≤ i, for a covered
 // window [Lo, Hi] of global SNP indices. ComputeOmega (Equation 2) and

@@ -562,56 +562,6 @@ func min(a, b int) int {
 	return b
 }
 
-func TestAllScoresMatchesComputeOmega(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 6; trial++ {
-		a := randomAlignment(rng, 20, 12, 1500)
-		p := Params{GridSize: 5, MinWindow: float64(rng.Intn(2) * 200)}.WithDefaults()
-		regions, _ := BuildRegions(a, p)
-		m := NewDPMatrix(ld.NewComputer(a, ld.Direct, 1))
-		exercised := 0
-		for _, reg := range regions {
-			if reg.Lo > reg.Hi || reg.K < reg.Lo || reg.K >= reg.Hi {
-				continue
-			}
-			m.Advance(reg.Lo, reg.Hi)
-			cpu := ComputeOmega(m, a, reg, p)
-			best := math.Inf(-1)
-			var bestL, bestR int
-			n := AllScores(m, a, reg, p, func(ws WindowScore) {
-				if ws.Omega > best {
-					best, bestL, bestR = ws.Omega, ws.LeftBorder, ws.RightBorder
-				}
-			})
-			if n != cpu.Scores {
-				t.Fatalf("AllScores emitted %d, ComputeOmega scored %d", n, cpu.Scores)
-			}
-			if !cpu.Valid {
-				continue
-			}
-			if best != cpu.MaxOmega || bestL != cpu.LeftBorder || bestR != cpu.RightBorder {
-				t.Fatalf("surface max (%g at %d,%d) != ComputeOmega (%g at %d,%d)",
-					best, bestL, bestR, cpu.MaxOmega, cpu.LeftBorder, cpu.RightBorder)
-			}
-			exercised++
-		}
-		if exercised == 0 {
-			t.Fatal("no region produced scores — the comparison is vacuous")
-		}
-	}
-}
-
-func TestAllScoresInvalidRegion(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	a := randomAlignment(rng, 10, 8, 100)
-	m := NewDPMatrix(ld.NewComputer(a, ld.Direct, 1))
-	m.Advance(0, 9)
-	reg := Region{Index: 0, Center: 50, Lo: 0, Hi: 9, K: -1} // empty left side
-	if n := AllScores(m, a, reg, Params{GridSize: 1}.WithDefaults(), func(WindowScore) {}); n != 0 {
-		t.Errorf("invalid region emitted %d scores", n)
-	}
-}
-
 func TestRegionSideCountsAndViewAccessors(t *testing.T) {
 	reg := Region{Lo: 3, Hi: 10, K: 6}
 	if reg.LeftSNPs() != 4 || reg.RightSNPs() != 4 {
@@ -630,9 +580,6 @@ func TestRegionSideCountsAndViewAccessors(t *testing.T) {
 	a := randomAlignment(rng, 12, 8, 100)
 	m := NewDPMatrix(ld.NewComputer(a, ld.Direct, 1))
 	m.Advance(2, 9)
-	if m.WindowSum(3, 7) != m.At(7, 3) {
-		t.Error("WindowSum should alias At")
-	}
 	v := m.Snapshot()
 	if v.Lo() != 2 || v.Hi() != 9 {
 		t.Errorf("view window [%d,%d]", v.Lo(), v.Hi())

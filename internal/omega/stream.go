@@ -34,23 +34,6 @@ type StreamStats struct {
 	StallTime time.Duration
 }
 
-// OverlapRatio returns the fraction of load time hidden behind compute,
-// in [0, 1]: 1 means I/O was fully overlapped (the scan ran at kernel
-// speed), 0 means every byte was waited for.
-func (s StreamStats) OverlapRatio() float64 {
-	if s.LoadTime <= 0 {
-		return 0
-	}
-	r := float64(s.LoadTime-s.StallTime) / float64(s.LoadTime)
-	if r < 0 {
-		return 0
-	}
-	if r > 1 {
-		return 1
-	}
-	return r
-}
-
 // chunkSpan is one unit of the chunk plan: a contiguous run of grid
 // regions [regLo, regHi) and the SNP rows [snpLo, snpHi) they need.
 type chunkSpan struct {

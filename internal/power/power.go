@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"omegago/internal/ihs"
@@ -339,34 +338,6 @@ func Power(sweep []float64, threshold float64) (float64, error) {
 	return float64(hits) / float64(len(sweep)), nil
 }
 
-// BootstrapPowerCI returns a percentile bootstrap confidence interval
-// for the power estimate: the sweep arm is resampled with replacement
-// `iters` times and the (α/2, 1−α/2) quantiles of the resampled power
-// are reported. Deterministic under seed.
-func BootstrapPowerCI(sweep []float64, threshold float64, iters int, alpha float64, seed int64) (lo, hi float64) {
-	if len(sweep) == 0 || iters <= 0 {
-		return 0, 0
-	}
-	rng := newRand(seed)
-	powers := make([]float64, iters)
-	for it := 0; it < iters; it++ {
-		hits := 0
-		for k := 0; k < len(sweep); k++ {
-			if sweep[rng.Intn(len(sweep))] > threshold {
-				hits++
-			}
-		}
-		powers[it] = float64(hits) / float64(len(sweep))
-	}
-	sort.Float64s(powers)
-	loIdx := int(alpha / 2 * float64(iters))
-	hiIdx := int((1 - alpha/2) * float64(iters))
-	if hiIdx >= iters {
-		hiIdx = iters - 1
-	}
-	return powers[loIdx], powers[hiIdx]
-}
-
 // AUC computes the area under the ROC curve via the Mann–Whitney
 // statistic: P(sweep > neutral) + ½·P(tie).
 func AUC(neutral, sweep []float64) float64 {
@@ -386,6 +357,3 @@ func AUC(neutral, sweep []float64) float64 {
 	}
 	return (wins + ties/2) / float64(len(neutral)*len(sweep))
 }
-
-// newRand isolates the bootstrap's randomness from global state.
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

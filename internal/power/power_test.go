@@ -195,29 +195,3 @@ func TestIHSDetectorRuns(t *testing.T) {
 		t.Error("name wrong")
 	}
 }
-
-func TestBootstrapPowerCI(t *testing.T) {
-	sweep := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	lo, hi := BootstrapPowerCI(sweep, 5, 2000, 0.1, 1)
-	// True power = 0.5; CI must bracket it and be ordered.
-	if !(lo <= 0.5 && 0.5 <= hi) {
-		t.Errorf("CI [%.2f, %.2f] does not bracket 0.5", lo, hi)
-	}
-	if lo > hi {
-		t.Errorf("inverted CI [%.2f, %.2f]", lo, hi)
-	}
-	// All-above threshold → degenerate CI at 1.
-	lo, hi = BootstrapPowerCI(sweep, 0, 500, 0.1, 2)
-	if lo != 1 || hi != 1 {
-		t.Errorf("degenerate CI wrong: [%.2f, %.2f]", lo, hi)
-	}
-	// Determinism.
-	a1, b1 := BootstrapPowerCI(sweep, 5, 100, 0.1, 7)
-	a2, b2 := BootstrapPowerCI(sweep, 5, 100, 0.1, 7)
-	if a1 != a2 || b1 != b2 {
-		t.Error("bootstrap not deterministic under seed")
-	}
-	if l, h := BootstrapPowerCI(nil, 0, 10, 0.1, 1); l != 0 || h != 0 {
-		t.Error("empty input should give zero CI")
-	}
-}

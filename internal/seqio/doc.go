@@ -20,9 +20,8 @@
 // ParseMSAlignment), FASTA (ParseFASTA, FASTAToAlignment), a minimal
 // VCF subset (ParseVCF), and the native bitmat container (ReadBitmat).
 // WriteMS, WriteVCF, WriteFASTA and WriteBitmat convert back out.
-// Filtering utilities (FilterMAF, DeduplicatePositions,
-// SubsampleHaplotypes, ClipRegion) transform alignments between
-// parsing and scanning.
+// InjectMissing masks genotypes at a seeded rate, the scenario
+// engine's missing-data treatment of an otherwise unchanged dataset.
 //
 // # bitmat: the packed bit-matrix container
 //

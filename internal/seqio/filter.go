@@ -7,126 +7,6 @@ import (
 	"omegago/internal/bitvec"
 )
 
-// Preprocessing utilities applied between parsing and scanning, the
-// dataset hygiene steps real analyses need before an ω scan.
-
-// FilterStats reports what a filter removed.
-type FilterStats struct {
-	Kept, Removed int
-}
-
-// FilterMAF returns a new alignment keeping only SNPs whose minor-allele
-// count (among valid samples) is at least minCount. Singleton removal
-// (minCount = 2) is the customary pre-filter for LD statistics, which
-// are noise-dominated at singletons.
-func FilterMAF(a *Alignment, minCount int) (*Alignment, FilterStats, error) {
-	if err := a.Validate(); err != nil {
-		return nil, FilterStats{}, err
-	}
-	if minCount < 0 {
-		return nil, FilterStats{}, fmt.Errorf("seqio: negative MAF count %d", minCount)
-	}
-	out := bitvec.NewMatrix(a.Samples())
-	var pos []float64
-	var st FilterStats
-	for i := 0; i < a.NumSNPs(); i++ {
-		row := a.Matrix.Row(i)
-		mask := a.Matrix.Mask(i)
-		n, c, _, _ := bitvec.MaskedCounts(row, row, mask, mask)
-		minor := c
-		if n-c < minor {
-			minor = n - c
-		}
-		if minor < minCount {
-			st.Removed++
-			continue
-		}
-		st.Kept++
-		out.AppendRow(row, mask)
-		pos = append(pos, a.Positions[i])
-	}
-	return &Alignment{Positions: pos, Length: a.Length, Matrix: out}, st, nil
-}
-
-// DeduplicatePositions nudges SNPs sharing an identical coordinate so
-// positions become strictly increasing (some VCF exports collapse
-// indel-adjacent SNPs onto one coordinate, which breaks windowing).
-// The nudge is the smallest representable step, so window semantics are
-// unaffected.
-func DeduplicatePositions(a *Alignment) (*Alignment, int) {
-	pos := append([]float64(nil), a.Positions...)
-	nudged := 0
-	for i := 1; i < len(pos); i++ {
-		if pos[i] <= pos[i-1] {
-			pos[i] = pos[i-1] + 1e-6
-			nudged++
-		}
-	}
-	out := *a
-	out.Positions = pos
-	if n := len(pos); n > 0 && out.Length < pos[n-1] {
-		out.Length = pos[n-1]
-	}
-	return &out, nudged
-}
-
-// SubsampleHaplotypes returns an alignment over `keep` haplotypes chosen
-// uniformly without replacement (deterministic under seed). Sites that
-// become monomorphic in the subsample are dropped.
-func SubsampleHaplotypes(a *Alignment, keep int, seed int64) (*Alignment, error) {
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	n := a.Samples()
-	if keep < 2 || keep > n {
-		return nil, fmt.Errorf("seqio: cannot keep %d of %d haplotypes", keep, n)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	chosen := rng.Perm(n)[:keep]
-	out := bitvec.NewMatrix(keep)
-	var pos []float64
-	for i := 0; i < a.NumSNPs(); i++ {
-		row := a.Matrix.Row(i)
-		mask := a.Matrix.Mask(i)
-		newRow := bitvec.New(keep)
-		var newMask *bitvec.Vector
-		ones, valid := 0, 0
-		for s, src := range chosen {
-			if mask != nil && !mask.Get(src) {
-				if newMask == nil {
-					newMask = bitvec.New(keep)
-					for k := 0; k < s; k++ {
-						newMask.Set(k, true)
-					}
-				}
-				continue
-			}
-			if newMask != nil {
-				newMask.Set(s, true)
-			}
-			valid++
-			if row.Get(src) {
-				newRow.Set(s, true)
-				ones++
-			}
-		}
-		if ones == 0 || ones == valid {
-			continue // monomorphic in the subsample
-		}
-		out.AppendRow(newRow, newMask)
-		pos = append(pos, a.Positions[i])
-	}
-	sub := &Alignment{Positions: pos, Length: a.Length, Matrix: out}
-	if a.SampleNames != nil {
-		names := make([]string, keep)
-		for s, src := range chosen {
-			names[s] = a.SampleNames[src]
-		}
-		sub.SampleNames = names
-	}
-	return sub, nil
-}
-
 // InjectMissing returns a copy of the alignment with each genotype
 // independently masked missing with probability rate (deterministic
 // under seed). All SNPs and coordinates are preserved — only validity
@@ -174,24 +54,4 @@ func InjectMissing(a *Alignment, rate float64, seed int64) (*Alignment, int, err
 		res.SampleNames = append([]string(nil), a.SampleNames...)
 	}
 	return res, masked, nil
-}
-
-// ClipRegion returns the sub-alignment of SNPs with positions inside
-// [fromBP, toBP], preserving coordinates.
-func ClipRegion(a *Alignment, fromBP, toBP float64) (*Alignment, error) {
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	if toBP < fromBP {
-		return nil, fmt.Errorf("seqio: inverted region [%g, %g]", fromBP, toBP)
-	}
-	lo := 0
-	for lo < a.NumSNPs() && a.Positions[lo] < fromBP {
-		lo++
-	}
-	hi := lo
-	for hi < a.NumSNPs() && a.Positions[hi] <= toBP {
-		hi++
-	}
-	return a.Slice(lo, hi), nil
 }

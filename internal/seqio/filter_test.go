@@ -4,200 +4,9 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"omegago/internal/bitvec"
 )
-
-func filterFixture(t *testing.T) *Alignment {
-	t.Helper()
-	m := bitvec.NewMatrix(6)
-	cols := [][]bool{
-		{true, false, false, false, false, false}, // singleton
-		{true, true, false, false, false, false},  // doubleton
-		{true, true, true, false, false, false},   // balanced
-		{false, true, true, true, true, true},     // minor count 1 (ref side)
-	}
-	for _, c := range cols {
-		m.AppendRow(bitvec.FromBools(c), nil)
-	}
-	a := &Alignment{Positions: []float64{10, 20, 30, 40}, Length: 100, Matrix: m}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
-
-func TestFilterMAF(t *testing.T) {
-	a := filterFixture(t)
-	out, st, err := FilterMAF(a, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Kept != 2 || st.Removed != 2 {
-		t.Fatalf("stats %+v, want 2 kept / 2 removed", st)
-	}
-	if out.NumSNPs() != 2 || out.Positions[0] != 20 || out.Positions[1] != 30 {
-		t.Fatalf("kept wrong SNPs: %v", out.Positions)
-	}
-	// minCount 0 keeps all
-	all, st0, _ := FilterMAF(a, 0)
-	if all.NumSNPs() != 4 || st0.Removed != 0 {
-		t.Error("minCount 0 should keep everything")
-	}
-	if _, _, err := FilterMAF(a, -1); err == nil {
-		t.Error("negative count should error")
-	}
-}
-
-func TestFilterMAFMasked(t *testing.T) {
-	m := bitvec.NewMatrix(4)
-	// 2 derived of 3 valid: minor = 1
-	m.AppendRow(bitvec.FromBools([]bool{true, true, false, false}),
-		bitvec.FromBools([]bool{true, true, true, false}))
-	a := &Alignment{Positions: []float64{5}, Length: 10, Matrix: m}
-	out, _, err := FilterMAF(a, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.NumSNPs() != 0 {
-		t.Error("masked minor count should be 1 → removed")
-	}
-}
-
-func TestDeduplicatePositions(t *testing.T) {
-	m := bitvec.NewMatrix(2)
-	for i := 0; i < 4; i++ {
-		r := bitvec.New(2)
-		r.Set(i%2, true)
-		m.AppendRow(r, nil)
-	}
-	a := &Alignment{Positions: []float64{1, 1, 1, 2}, Length: 10, Matrix: m}
-	out, nudged := DeduplicatePositions(a)
-	if nudged != 2 {
-		t.Fatalf("nudged %d, want 2", nudged)
-	}
-	for i := 1; i < out.NumSNPs(); i++ {
-		if out.Positions[i] <= out.Positions[i-1] {
-			t.Fatalf("positions not strictly increasing: %v", out.Positions)
-		}
-	}
-	if err := out.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Already-unique input untouched.
-	if _, n := DeduplicatePositions(out); n != 0 {
-		t.Error("second pass should nudge nothing")
-	}
-}
-
-func TestSubsampleHaplotypes(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	m := bitvec.NewMatrix(20)
-	pos := make([]float64, 30)
-	for i := range pos {
-		pos[i] = float64(i + 1)
-		row := bitvec.New(20)
-		for s := 0; s < 20; s++ {
-			if rng.Intn(2) == 1 {
-				row.Set(s, true)
-			}
-		}
-		if row.OnesCount() == 0 {
-			row.Set(0, true)
-		}
-		if row.OnesCount() == 20 {
-			row.Set(1, false)
-		}
-		m.AppendRow(row, nil)
-	}
-	a := &Alignment{Positions: pos, Length: 100, Matrix: m}
-	sub, err := SubsampleHaplotypes(a, 8, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Samples() != 8 {
-		t.Fatalf("samples %d, want 8", sub.Samples())
-	}
-	if err := sub.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Every kept site must be polymorphic in the subsample.
-	for i := 0; i < sub.NumSNPs(); i++ {
-		c := sub.Matrix.Row(i).OnesCount()
-		if c == 0 || c == 8 {
-			t.Fatalf("site %d monomorphic after subsampling", i)
-		}
-	}
-	// Determinism.
-	sub2, _ := SubsampleHaplotypes(a, 8, 42)
-	if sub2.NumSNPs() != sub.NumSNPs() {
-		t.Error("subsampling not deterministic")
-	}
-	if _, err := SubsampleHaplotypes(a, 1, 1); err == nil {
-		t.Error("keep < 2 should error")
-	}
-	if _, err := SubsampleHaplotypes(a, 21, 1); err == nil {
-		t.Error("keep > n should error")
-	}
-}
-
-func TestClipRegion(t *testing.T) {
-	a := filterFixture(t)
-	clip, err := ClipRegion(a, 15, 35)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clip.NumSNPs() != 2 || clip.Positions[0] != 20 {
-		t.Fatalf("clip wrong: %v", clip.Positions)
-	}
-	empty, err := ClipRegion(a, 500, 600)
-	if err != nil || empty.NumSNPs() != 0 {
-		t.Error("out-of-range clip should be empty")
-	}
-	if _, err := ClipRegion(a, 30, 10); err == nil {
-		t.Error("inverted region should error")
-	}
-}
-
-func TestFilterPipelineProperty(t *testing.T) {
-	// FilterMAF then DeduplicatePositions must always produce a valid
-	// alignment whose SNPs are a subset of the input.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(10) + 3
-		snps := rng.Intn(30) + 1
-		m := bitvec.NewMatrix(n)
-		pos := make([]float64, snps)
-		p := 0.0
-		for i := 0; i < snps; i++ {
-			if rng.Intn(4) > 0 {
-				p += rng.Float64()
-			}
-			pos[i] = p
-			row := bitvec.New(n)
-			for s := 0; s < n; s++ {
-				if rng.Intn(2) == 1 {
-					row.Set(s, true)
-				}
-			}
-			m.AppendRow(row, nil)
-		}
-		a := &Alignment{Positions: pos, Length: p + 1, Matrix: m}
-		dedup, _ := DeduplicatePositions(a)
-		out, st, err := FilterMAF(dedup, rng.Intn(3))
-		if err != nil {
-			return false
-		}
-		if st.Kept+st.Removed != snps {
-			return false
-		}
-		return out.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestSampleNamesThreadThrough(t *testing.T) {
 	vcf := "##fileformat=VCFv4.2\n#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\tFORMAT\talice\tbob\n" +

@@ -1,7 +1,7 @@
 // Package viz renders series as plain-text charts so cmd/benchtables
 // can show the paper's figures as figures, not just tables, in any
-// terminal. No color, no unicode requirements beyond '#', so output
-// survives logs and diffs.
+// terminal. No color and only ASCII glyphs, so output survives logs
+// and diffs.
 package viz
 
 import (
@@ -25,35 +25,6 @@ func (s Series) validPoints() (xs, ys []float64) {
 		}
 	}
 	return xs, ys
-}
-
-// HBar renders a horizontal bar chart: one row per point, labelled by
-// the x value, bar length proportional to y over the series maximum.
-func HBar(title string, s Series, width int) string {
-	if width < 10 {
-		width = 10
-	}
-	xs, ys := s.validPoints()
-	if len(xs) == 0 {
-		return fmt.Sprintf("%s: (no data)\n", title)
-	}
-	maxY := ys[0]
-	for _, y := range ys {
-		if y > maxY {
-			maxY = y
-		}
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s (max %.4g)\n", title, maxY)
-	for i := range xs {
-		frac := 0.0
-		if maxY > 0 {
-			frac = ys[i] / maxY
-		}
-		n := int(frac*float64(width) + 0.5)
-		fmt.Fprintf(&sb, "%12.4g | %-*s %.4g\n", xs[i], width, strings.Repeat("#", n), ys[i])
-	}
-	return sb.String()
 }
 
 // Plot renders one or more series as a dot-matrix line chart with a
@@ -122,37 +93,6 @@ func Plot(title string, series []Series, width, height int) string {
 			fmt.Fprintf(&sb, " %c=%s", glyphs[si%len(glyphs)], s.Name)
 		}
 		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// Sparkline renders y values as a compact single-line bar string using
-// eight block heights.
-func Sparkline(ys []float64) string {
-	levels := []rune("▁▂▃▄▅▆▇█")
-	minY, maxY := math.Inf(1), math.Inf(-1)
-	for _, y := range ys {
-		if math.IsNaN(y) || math.IsInf(y, 0) {
-			continue
-		}
-		minY = math.Min(minY, y)
-		maxY = math.Max(maxY, y)
-	}
-	if math.IsInf(minY, 1) {
-		return ""
-	}
-	span := maxY - minY
-	var sb strings.Builder
-	for _, y := range ys {
-		if math.IsNaN(y) || math.IsInf(y, 0) {
-			sb.WriteRune(' ')
-			continue
-		}
-		idx := 0
-		if span > 0 {
-			idx = int((y - minY) / span * float64(len(levels)-1))
-		}
-		sb.WriteRune(levels[idx])
 	}
 	return sb.String()
 }

@@ -6,37 +6,6 @@ import (
 	"testing"
 )
 
-func TestHBar(t *testing.T) {
-	s := Series{Name: "thr", X: []float64{10, 20, 30}, Y: []float64{1, 2, 4}}
-	out := HBar("throughput", s, 20)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("%d lines, want 4:\n%s", len(lines), out)
-	}
-	if !strings.Contains(lines[0], "max 4") {
-		t.Errorf("title missing max: %q", lines[0])
-	}
-	// Bar lengths proportional: last row has full width of '#'.
-	if got := strings.Count(lines[3], "#"); got != 20 {
-		t.Errorf("max row has %d hashes, want 20", got)
-	}
-	if got := strings.Count(lines[1], "#"); got != 5 {
-		t.Errorf("quarter row has %d hashes, want 5", got)
-	}
-}
-
-func TestHBarEmptyAndNaN(t *testing.T) {
-	out := HBar("x", Series{}, 20)
-	if !strings.Contains(out, "no data") {
-		t.Error("empty series should say no data")
-	}
-	s := Series{X: []float64{1, 2}, Y: []float64{math.NaN(), 3}}
-	out = HBar("x", s, 10)
-	if strings.Contains(out, "NaN") {
-		t.Error("NaN should be filtered")
-	}
-}
-
 func TestPlotBasics(t *testing.T) {
 	s1 := Series{Name: "a", X: []float64{0, 1, 2, 3}, Y: []float64{0, 1, 2, 3}}
 	s2 := Series{Name: "b", X: []float64{0, 1, 2, 3}, Y: []float64{3, 2, 1, 0}}
@@ -65,27 +34,15 @@ func TestPlotDegenerate(t *testing.T) {
 	if out := Plot("t", nil, 10, 5); !strings.Contains(out, "no data") {
 		t.Error("nil series should say no data")
 	}
+	// Non-finite points are dropped, so an all-NaN/Inf series has none.
+	nan := Series{Name: "n", X: []float64{1, 2}, Y: []float64{math.NaN(), math.Inf(1)}}
+	if out := Plot("t", []Series{nan}, 16, 4); !strings.Contains(out, "no data") {
+		t.Errorf("non-finite series should say no data:\n%s", out)
+	}
 	// Constant series must not divide by zero.
 	s := Series{Name: "c", X: []float64{1, 2}, Y: []float64{5, 5}}
 	out := Plot("t", []Series{s}, 16, 4)
 	if !strings.Contains(out, "*") {
 		t.Errorf("constant series should still plot:\n%s", out)
-	}
-}
-
-func TestSparkline(t *testing.T) {
-	out := Sparkline([]float64{0, 1, 2, 3, 4, 5, 6, 7})
-	if out != "▁▂▃▄▅▆▇█" {
-		t.Errorf("ramp sparkline = %q", out)
-	}
-	if Sparkline(nil) != "" {
-		t.Error("empty sparkline should be empty")
-	}
-	if got := Sparkline([]float64{1, math.NaN(), 2}); len([]rune(got)) != 3 {
-		t.Errorf("NaN handling wrong: %q", got)
-	}
-	// Constant input: all minimum glyphs, no panic.
-	if got := Sparkline([]float64{2, 2, 2}); got != "▁▁▁" {
-		t.Errorf("constant sparkline = %q", got)
 	}
 }
